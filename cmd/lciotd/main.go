@@ -293,6 +293,9 @@ func run(configPath, dataDir, pump, listen, sweepEvery, faults, metricsAddr stri
 		DataDir:      cfg.DataDir,
 		Jurisdiction: jurisdiction,
 		Shards:       cfg.Shards,
+		// The daemon is the operator's deployment: degradations leave
+		// profile evidence under DataDir/diag.
+		DiagCapture: true,
 	})
 	if err != nil {
 		return err

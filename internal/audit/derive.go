@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"lciot/internal/ifc"
 )
 
 // BuildGraph derives a provenance graph from flow records, the paper's
@@ -23,43 +25,51 @@ func BuildGraph(records []Record) *Graph {
 // build-once/append-many path. Instead of rebuilding the whole graph when
 // the audit log grows, callers derive it once with BuildGraph and Append
 // each new batch; queries between batches are then served from the
-// reachability memo, and only records appended since the last query force
-// a recomputation. The whole batch is ingested under one lock acquisition.
+// reachability memo, and only records that add an edge force a
+// recomputation. The whole batch is ingested under one lock acquisition.
+// A record whose nodes and edges all exist already changes nothing and
+// allocates nothing: a new process node's "ctx" attribute is built only
+// when the node is created.
 func (g *Graph) Append(records []Record) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.nodes == nil {
-		g.nodes = make(map[string]Node)
-		g.out = make(map[string][]Edge)
-		g.in = make(map[string][]Edge)
-	}
-	ensure := func(id string, kind NodeKind, attrs map[string]string) {
-		if _, ok := g.nodes[id]; !ok {
-			g.nodes[id] = Node{ID: id, Kind: kind, Attrs: attrs}
-		}
-	}
-	for _, r := range records {
+	for i := range records {
+		r := &records[i]
 		if r.Kind != FlowAllowed && r.Kind != GateCrossing {
 			continue
 		}
-		src, dst := string(r.Src), string(r.Dst)
-		if src == "" || dst == "" {
+		if r.Src == "" || r.Dst == "" {
 			continue
 		}
-		ensure(src, NodeProcess, map[string]string{"ctx": r.SrcCtx.String()})
-		ensure(dst, NodeProcess, map[string]string{"ctx": r.DstCtx.String()})
+		src := g.ensureLocked(string(r.Src), NodeProcess, &r.SrcCtx)
+		dst := g.ensureLocked(string(r.Dst), NodeProcess, &r.DstCtx)
 		// Process-to-process information flow.
-		_ = g.addEdgeLocked(Edge{Src: dst, Dst: src, Kind: EdgeInformedBy})
+		g.addEdgeLocked(dst, src, uint8(EdgeInformedBy))
 		if r.DataID != "" {
-			ensure(r.DataID, NodeData, nil)
-			_ = g.addEdgeLocked(Edge{Src: src, Dst: r.DataID, Kind: EdgeUsed})
-			_ = g.addEdgeLocked(Edge{Src: r.DataID, Dst: dst, Kind: EdgeGeneratedBy})
+			data := g.ensureLocked(r.DataID, NodeData, nil)
+			g.addEdgeLocked(src, data, uint8(EdgeUsed))
+			g.addEdgeLocked(data, dst, uint8(EdgeGeneratedBy))
 		}
 		if r.Agent != "" {
-			ensure(string(r.Agent), NodeAgent, nil)
-			_ = g.addEdgeLocked(Edge{Src: src, Dst: string(r.Agent), Kind: EdgeControlledBy})
+			agent := g.ensureLocked(string(r.Agent), NodeAgent, nil)
+			g.addEdgeLocked(src, agent, uint8(EdgeControlledBy))
 		}
 	}
+}
+
+// ensureLocked returns id's slot, creating the node if it is absent; an
+// existing node keeps its kind. A new node is labelled with its security
+// context when ctx is non-nil, so the label is formatted once per node,
+// not once per record.
+func (g *Graph) ensureLocked(id string, kind NodeKind, ctx *ifc.SecurityContext) int32 {
+	if i, ok := g.index[id]; ok {
+		return i
+	}
+	var attrs map[string]string
+	if ctx != nil {
+		attrs = map[string]string{"ctx": ctx.String()}
+	}
+	return g.newSlotLocked(id, kind, attrs)
 }
 
 // DOT renders the graph in Graphviz format, with the Fig. 11 conventions:
@@ -68,18 +78,12 @@ func (g *Graph) DOT() string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
+	ids := g.sortedIDsLocked()
 	var b strings.Builder
 	b.WriteString("digraph provenance {\n")
 	for _, id := range ids {
-		n := g.nodes[id]
 		shape := "box"
-		switch n.Kind {
+		switch g.slots[g.index[id]].kind {
 		case NodeData:
 			shape = "ellipse"
 		case NodeAgent:
@@ -88,15 +92,15 @@ func (g *Graph) DOT() string {
 		fmt.Fprintf(&b, "  %q [shape=%s];\n", id, shape)
 	}
 	for _, src := range ids {
-		edges := append([]Edge(nil), g.out[src]...)
+		edges := append([]half(nil), g.slots[g.index[src]].out...)
 		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].Dst != edges[j].Dst {
-				return edges[i].Dst < edges[j].Dst
+			if di, dj := g.slots[edges[i].to].id, g.slots[edges[j].to].id; di != dj {
+				return di < dj
 			}
-			return edges[i].Kind < edges[j].Kind
+			return edges[i].kind < edges[j].kind
 		})
-		for _, e := range edges {
-			fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", e.Src, e.Dst, e.Kind.String())
+		for _, h := range edges {
+			fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", src, g.slots[h.to].id, EdgeKind(h.kind).String())
 		}
 	}
 	b.WriteString("}\n")
@@ -128,16 +132,11 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	defer g.mu.RUnlock()
 
 	out := jsonGraph{}
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		n := g.nodes[id]
-		out.Nodes = append(out.Nodes, jsonNode{ID: n.ID, Kind: n.Kind.String(), Attrs: n.Attrs})
-		for _, e := range g.out[id] {
-			out.Edges = append(out.Edges, jsonEdge{Src: e.Src, Dst: e.Dst, Kind: e.Kind.String()})
+	for _, id := range g.sortedIDsLocked() {
+		s := &g.slots[g.index[id]]
+		out.Nodes = append(out.Nodes, jsonNode{ID: id, Kind: s.kind.String(), Attrs: s.attrs})
+		for _, h := range s.out {
+			out.Edges = append(out.Edges, jsonEdge{Src: id, Dst: g.slots[h.to].id, Kind: EdgeKind(h.kind).String()})
 		}
 	}
 	return json.Marshal(out)

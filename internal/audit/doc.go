@@ -26,7 +26,8 @@
 //
 // Graphs are built for querying: Ancestry and Descendants memoize each
 // node's reachability set, stamped with a graph epoch that advances on
-// every AddEdge. The first query after a topology change walks the
+// every edge added or removed (edges form a set; re-adding one is a
+// no-op). The first query after a topology change walks the
 // history; repeats are served from the memo in time proportional to the
 // answer, not to the history depth. Graph.Append ingests new audit
 // records into an existing graph — the build-once/append-many path — so a

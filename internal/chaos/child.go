@@ -61,11 +61,11 @@ func RunChild(dir string, sched Schedule, phase int, logf func(string, ...any)) 
 	start := time.Now()
 
 	net := transport.NewMemNetwork()
-	alpha, err := core.NewDomain("alpha", core.Options{DataDir: filepath.Join(dir, "alpha")})
+	alpha, err := core.NewDomain("alpha", core.Options{DataDir: filepath.Join(dir, "alpha"), DiagCapture: true})
 	if err != nil {
 		return fmt.Errorf("chaos: boot alpha: %w", err)
 	}
-	beta, err := core.NewDomain("beta", core.Options{DataDir: filepath.Join(dir, "beta")})
+	beta, err := core.NewDomain("beta", core.Options{DataDir: filepath.Join(dir, "beta"), DiagCapture: true})
 	if err != nil {
 		return fmt.Errorf("chaos: boot beta: %w", err)
 	}
@@ -166,8 +166,8 @@ func RunChild(dir string, sched Schedule, phase int, logf func(string, ...any)) 
 				alpha.Tick()
 				beta.Tick()
 				// Health polls make degradation transitions observable —
-				// and, because both domains have DataDirs, each transition
-				// triggers a diagnostic capture under <DataDir>/diag that
+				// and, because both domains arm diagnostic capture, each
+				// transition leaves a snapshot under <DataDir>/diag that
 				// the smoke harness asserts on. The report is fingerprint-
 				// cached, so the poll is cheap when nothing moved.
 				alpha.Health()

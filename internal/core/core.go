@@ -65,6 +65,11 @@ type Options struct {
 	// hosts serving many components should set this near the core count
 	// (see the README scaling guide).
 	Shards int
+	// DiagCapture arms continuous diagnostic capture under DataDir/diag
+	// (see diag.go): a worse health rung or heavy lane skew snapshots the
+	// health and skew reports, the span ring, a heap profile and a 5s
+	// process-wide CPU profile. Without a DataDir it does nothing.
+	DiagCapture bool
 }
 
 // A Domain is one administrative domain of the IoT: a hospital, a home, a
@@ -124,11 +129,19 @@ type Domain struct {
 
 	// Diagnostic capture state (see diag.go): dataDir is retained so
 	// degradation transitions can snapshot profiles under DataDir/diag;
+	// diagArmed is set when capture was asked for and has a DataDir;
 	// diagInflight serialises captures; diagLastSkewNs debounces
-	// skew-triggered captures.
+	// skew-triggered captures. diagMu guards diagClosed and orders
+	// diagWG.Add against the wait in Close; closing diagStop cancels an
+	// in-flight CPU profile.
 	dataDir        string
+	diagArmed      bool
 	diagInflight   atomic.Bool
 	diagLastSkewNs atomic.Int64
+	diagMu         sync.Mutex
+	diagClosed     bool
+	diagStop       chan struct{}
+	diagWG         sync.WaitGroup
 }
 
 // NewDomain assembles a domain. The returned domain owns its bus, stores,
@@ -213,6 +226,8 @@ func NewDomain(name string, opts Options) (*Domain, error) {
 		onAlert:    opts.OnAlert,
 		auditStore: auditStore,
 		dataDir:    opts.DataDir,
+		diagArmed:  opts.DiagCapture && opts.DataDir != "",
+		diagStop:   make(chan struct{}),
 		oblSched:   obligation.NewScheduler(time.Second, 16),
 		prov:       &audit.Graph{},
 	}
@@ -302,11 +317,14 @@ func (d *Domain) OffloadAudit() (int, error) {
 // remains usable for in-memory work afterwards, but nothing further is
 // persisted. Close is idempotent and safe against concurrent Tick /
 // SweepObligations: it waits out any in-flight sweep before closing the
-// store, and later sweeps observe the closed flag and do nothing. Repeat
-// calls return the first call's result.
+// store, and later sweeps observe the closed flag and do nothing. It also
+// cancels and waits for any in-flight diagnostic capture, so nothing
+// under DataDir changes once it returns. Repeat calls return the first
+// call's result.
 func (d *Domain) Close() error {
 	d.closeOnce.Do(func() {
 		d.closed.Store(true)
+		d.stopDiag()
 		// Barrier: an in-flight sweep holds sweepMu; once we acquire and
 		// release it, every subsequent sweep sees the closed flag before
 		// touching the store.

@@ -17,12 +17,16 @@ import (
 // worse rung, or lane-load skew exceeds the threshold under real load, the
 // domain snapshots the evidence an operator needs for a post-hoc diagnosis
 // — the health report, the skew report, the span ring, a heap profile and
-// a short CPU profile — into DataDir/diag/<unixnano>-<reason>/. The
-// capture runs on its own goroutine (the health poll that noticed the
-// transition is not delayed), at most one at a time, and the directory is
-// pruned to diagKeep snapshots BEFORE a new one is created, so the
-// retention cap holds even if the process dies mid-capture. Domains
-// without a DataDir never capture.
+// a short CPU profile — into DataDir/diag/<unixnano>-<reason>/. Capture is
+// opt-in (Options.DiagCapture, which lciotd sets) and needs a DataDir:
+// a library embedder never gets a background CPU profile it did not ask
+// for. The capture runs on its own goroutine (the health poll that
+// noticed the transition is not delayed), at most one at a time, and the
+// directory is pruned to diagKeep snapshots BEFORE a new one is created,
+// so the retention cap holds even if the process dies mid-capture. Close
+// cancels an in-flight capture's CPU profile, waits for the goroutine,
+// and refuses captures requested after it: once Close returns, nothing
+// under DataDir changes.
 
 const (
 	// diagKeep bounds retained snapshot directories under DataDir/diag.
@@ -51,24 +55,46 @@ var (
 
 func init() { diagCPUProfileNs.Store(int64(5 * time.Second)) }
 
-// maybeCaptureDiag starts an asynchronous diagnostic capture, unless one
-// is already running or the domain has no DataDir. Safe to call from any
-// goroutine, including under healthMu.
+// maybeCaptureDiag starts an asynchronous diagnostic capture, unless
+// capture is not armed, one is already running, or the domain is closed.
+// Safe to call from any goroutine, including under healthMu.
 func (d *Domain) maybeCaptureDiag(reason string) {
-	if d.dataDir == "" {
+	if !d.diagArmed {
 		return
 	}
 	if !d.diagInflight.CompareAndSwap(false, true) {
 		return
 	}
-	go d.captureDiag(reason)
+	d.diagMu.Lock()
+	defer d.diagMu.Unlock()
+	if d.diagClosed {
+		d.diagInflight.Store(false)
+		return
+	}
+	d.diagWG.Add(1)
+	go func() {
+		defer d.diagWG.Done()
+		d.captureDiag(reason)
+	}()
+}
+
+// stopDiag cancels any in-flight capture, waits for it to finish, and
+// refuses later ones. Close calls it before tearing anything down.
+func (d *Domain) stopDiag() {
+	d.diagMu.Lock()
+	if !d.diagClosed {
+		d.diagClosed = true
+		close(d.diagStop)
+	}
+	d.diagMu.Unlock()
+	d.diagWG.Wait()
 }
 
 // checkSkewDiag evaluates the skew trigger at most once per debounce
 // window. Called from Health polls, so a status loop's cadence drives it
 // without a dedicated timer goroutine.
 func (d *Domain) checkSkewDiag() {
-	if d.dataDir == "" {
+	if !d.diagArmed {
 		return
 	}
 	now := time.Now().UnixNano()
@@ -86,7 +112,8 @@ func (d *Domain) checkSkewDiag() {
 }
 
 // captureDiag writes one snapshot directory. Runs on its own goroutine;
-// diagInflight is held for the duration.
+// diagInflight is held for the duration. The CPU profile ends early when
+// Close cancels the capture.
 func (d *Domain) captureDiag(reason string) {
 	defer d.diagInflight.Store(false)
 	root := filepath.Join(d.dataDir, "diag")
@@ -108,7 +135,12 @@ func (d *Domain) captureDiag(reason string) {
 	}
 	if f, err := os.Create(filepath.Join(dir, "cpu.pprof")); err == nil {
 		if pprof.StartCPUProfile(f) == nil {
-			time.Sleep(time.Duration(diagCPUProfileNs.Load()))
+			t := time.NewTimer(time.Duration(diagCPUProfileNs.Load()))
+			select {
+			case <-t.C:
+			case <-d.diagStop:
+				t.Stop()
+			}
 			pprof.StopCPUProfile()
 		}
 		f.Close()

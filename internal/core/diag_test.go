@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -28,7 +30,7 @@ func TestDiagCaptureOnDegradation(t *testing.T) {
 	shrinkCPUProfile(t)
 	clock := newTestClock()
 	dir := t.TempDir()
-	d, src := obligationDomain(t, dir, clock)
+	d, src := obligationDomainWith(t, Options{Clock: clock.Now, DataDir: dir, DiagCapture: true})
 
 	if got, want := d.DiagDir(), filepath.Join(dir, "diag"); got != want {
 		t.Fatalf("DiagDir = %q, want %q", got, want)
@@ -126,4 +128,81 @@ func TestDiagNoDataDirNeverCaptures(t *testing.T) {
 	if d.diagInflight.Load() {
 		t.Fatal("capture in flight on a domain without a DataDir")
 	}
+}
+
+// TestDiagCaptureIsOptIn: a domain with a DataDir but without
+// Options.DiagCapture never starts a capture, whatever triggers one.
+func TestDiagCaptureIsOptIn(t *testing.T) {
+	d, err := NewDomain("diag-off", Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.maybeCaptureDiag("degraded")
+	if d.diagInflight.Load() {
+		t.Fatal("capture in flight on a domain that did not arm capture")
+	}
+	if _, err := os.Stat(d.DiagDir()); !os.IsNotExist(err) {
+		t.Fatalf("diag directory exists on a domain that did not arm capture: %v", err)
+	}
+}
+
+// TestCloseJoinsDiagCapture starts a capture whose CPU profile would run
+// for a minute, closes the domain mid-profile, and asserts that Close
+// cancelled and joined it — nothing under DataDir changes once Close has
+// returned — and that a capture requested after Close is refused.
+func TestCloseJoinsDiagCapture(t *testing.T) {
+	prev := diagCPUProfileNs.Load()
+	diagCPUProfileNs.Store(int64(time.Minute))
+	t.Cleanup(func() { diagCPUProfileNs.Store(prev) })
+	dir := t.TempDir()
+	d, err := NewDomain("diag-close", Options{DataDir: dir, DiagCapture: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.maybeCaptureDiag("test")
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if m, _ := filepath.Glob(filepath.Join(d.DiagDir(), "*", "cpu.pprof")); len(m) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("capture never reached its CPU profile")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	start := time.Now()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 30*time.Second {
+		t.Fatalf("Close took %v: the CPU profile was not cancelled", took)
+	}
+	if d.diagInflight.Load() {
+		t.Fatal("capture still in flight after Close returned")
+	}
+	before := treeState(t, dir)
+	d.maybeCaptureDiag("after-close")
+	time.Sleep(100 * time.Millisecond)
+	if after := treeState(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("DataDir changed after Close returned:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// treeState lists every path under root with its size and modification
+// time.
+func treeState(t *testing.T, root string) map[string]string {
+	t.Helper()
+	state := map[string]string{}
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		state[path] = fmt.Sprintf("%d %d", info.Size(), info.ModTime().UnixNano())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
 }

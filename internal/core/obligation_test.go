@@ -34,7 +34,13 @@ func telemetrySchema() *msg.Schema {
 // data from sensor.out to sink.in.
 func obligationDomain(t *testing.T, dir string, clock *testClock) (*Domain, *sbus.Component) {
 	t.Helper()
-	d, err := NewDomain("plant", Options{Clock: clock.Now, DataDir: dir})
+	return obligationDomainWith(t, Options{Clock: clock.Now, DataDir: dir})
+}
+
+// obligationDomainWith is obligationDomain with explicit options.
+func obligationDomainWith(t *testing.T, opts Options) (*Domain, *sbus.Component) {
+	t.Helper()
+	d, err := NewDomain("plant", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,5 +349,39 @@ func TestErasurePropagationProperty(t *testing.T) {
 	})
 	if len(execs) == 0 {
 		t.Fatal("no ObligationExecuted evidence for the erasure request")
+	}
+}
+
+// TestEraseDataCoversStagedRecords: an erasure requested straight after
+// a publish, while the flows' audit records may still be staged on a lane,
+// must reach every datum derived through provenance — the whole session
+// in this domain, where each reading flows sensor -> sink — tombstoning
+// their records in both tiers and dropping them from the graph.
+func TestEraseDataCoversStagedRecords(t *testing.T) {
+	clock := newTestClock()
+	d, src := obligationDomain(t, t.TempDir(), clock)
+	for round := 0; round < 20; round++ {
+		ids := publishTelemetry(t, src, fmt.Sprintf("session-%d", round), 3)
+		d.EraseData("telemetry", ids[0], "erasure request")
+		d.Log().Flush()
+		if err := d.AuditStore().Sync(); err != nil {
+			t.Fatal(err)
+		}
+		stored, err := d.AuditStore().Records(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			for tier, recs := range map[string][]audit.Record{"memory": d.Log().Select(nil), "store": stored} {
+				for _, r := range recs {
+					if r.DataID == id && !r.Redacted {
+						t.Fatalf("round %d: %s record %d for erased %s is live", round, tier, r.Seq, id)
+					}
+				}
+			}
+			if _, ok := d.Provenance().Node(id); ok {
+				t.Fatalf("round %d: erased %s still in the provenance graph", round, id)
+			}
+		}
 	}
 }

@@ -267,14 +267,26 @@ func (d *Domain) EraseData(tag ifc.Tag, dataID, reason string) {
 // the subject's state derived from still-retained data is untouched.
 // Every obligation action leaves evidence: ObligationExecuted per datum,
 // one Redaction record for the tombstone pass, ObligationRefused when a
-// tier could not be redacted. eraseMany is safe from any caller —
-// including the CEP detection handler (erase-on-event), because the
+// tier could not be redacted. eraseMany is safe from any caller but a log
+// sink (see the flush below) — including the CEP detection handler
+// (erase-on-event), because the
 // sharded CEP engine runs handlers outside its lane locks and Purge
 // locks lane-at-a-time.
 func (d *Domain) eraseMany(items []eraseItem, reason string, purgeSubjects bool) {
 	if len(items) == 0 {
 		return
 	}
+	// Commit every record staged before this call first, so the
+	// provenance expansion below sees the flows that led here: a
+	// FlowAllowed record still staged on an audit lane would otherwise
+	// miss the expansion, be committed behind it, and never be tombstoned.
+	// Flush waits on the log's hasher goroutine, so eraseMany must never
+	// run on it, that is, from a log sink. None does: the domain's sinks
+	// are obligationSink, which only queues deadlines for the sweep, and
+	// the audit store's persist sink; the CEP erase trigger runs on the
+	// goroutine that feeds the event. The Log.Append calls at the end of
+	// this function carry the same constraint.
+	d.log.Flush()
 	// A datum is scheduled under its *tightest*-retention tag, which may
 	// not be the tag it is being erased under — cancel across every
 	// retention-limited tag so no stale deadline survives to fire (and
