@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -237,9 +236,9 @@ func measureB13() {
 	}
 }
 
-// B12: the cross-bus path (link protocol v2). The codec rows compare the
-// binary v2 frame encoding against the legacy per-frame JSON of v1; the
-// delivery rows measure the full federated pipeline — egress stamping,
+// B12: the cross-bus path (the binary link protocol). The codec row
+// round-trips one message frame through the batch codec; the delivery
+// rows measure the full federated pipeline — egress stamping,
 // bounded queue, writer batching, transport, ingress re-validation —
 // over the in-memory network (zero latency, so the numbers are protocol
 // cost, not wire time), 1-hop and through a relay bus (2 hops).
@@ -260,18 +259,6 @@ func measureB12() {
 		SrcIntegrity: ifc.MustLabel("hosp-dev"),
 		Schema:       "vitals", Payload: payload, Agent: "hospital",
 	}
-	jd, ja := minOf5(func() (time.Duration, float64) {
-		return timeOpAllocs(func() {
-			b, err := json.Marshal(frame)
-			if err != nil {
-				panic(err)
-			}
-			var f sbus.LinkFrame
-			if err := json.Unmarshal(b, &f); err != nil {
-				panic(err)
-			}
-		})
-	})
 	var buf []byte
 	bd, ba := minOf5(func() (time.Duration, float64) {
 		return timeOpAllocs(func() {
@@ -285,9 +272,7 @@ func measureB12() {
 			}
 		})
 	})
-	rowAllocs("B12", "link frame codec, JSON (v1 wire)", jd, ja, "legacy: one JSON object per frame")
-	rowAllocs("B12", "link frame codec, binary v2", bd, ba,
-		fmt.Sprintf("%.1fx faster than v1 JSON", float64(jd)/float64(bd)))
+	rowAllocs("B12", "link frame codec, binary v2", bd, ba, "encode + decode, one message frame")
 
 	ctx := ifc.MustContext([]ifc.Tag{"medical"}, nil)
 	// buildNode registers a bus named `name` on the shared network, serving

@@ -168,8 +168,8 @@ func RunChild(dir string, sched Schedule, phase int, logf func(string, ...any)) 
 				// Health polls make degradation transitions observable —
 				// and, because both domains arm diagnostic capture, each
 				// transition leaves a snapshot under <DataDir>/diag that
-				// the smoke harness asserts on. The report is fingerprint-
-				// cached, so the poll is cheap when nothing moved.
+				// the smoke harness asserts on. A report costs about a
+				// microsecond, so polling every tick is cheap.
 				alpha.Health()
 				beta.Health()
 			}

@@ -118,13 +118,11 @@ type Domain struct {
 	// sweepMu serialises SweepObligations against Close.
 	sweepMu sync.Mutex
 
-	// Health cache (see health.go): healthMu guards the last built report
-	// and the fingerprint of the subsystem state it was built from, so
-	// polls only re-format details when something actually moved.
+	// Health transitions (see health.go): healthMu guards the worst rung
+	// the last report saw, so a poll that finds things worse records the
+	// transition span and triggers a diagnostic capture exactly once.
 	healthMu    sync.Mutex
-	healthFP    uint64
 	healthInit  bool
-	healthLast  [4]SubsystemHealth
 	healthWorst HealthState
 
 	// Diagnostic capture state (see diag.go): dataDir is retained so
@@ -559,7 +557,7 @@ func (d *Domain) LinkStatus() []sbus.LinkStatus { return d.bus.LinkStatus() }
 // LinkPeer dials a peer domain's bus, retrying with a linear backoff until
 // the peer answers or the wait budget runs out — at boot, federated nodes
 // come up in arbitrary order. Once established, the link self-heals (see
-// sbus link protocol v2); LinkPeer only covers the initial dial. Unlike
+// sbus/link.go); LinkPeer only covers the initial dial. Unlike
 // Federate it performs no attestation, which is what a deployment without
 // provisioned TPM endorsement keys (e.g. the lciotd daemon) uses.
 func (d *Domain) LinkPeer(network transport.Network, addr string, wait time.Duration) (string, error) {

@@ -62,25 +62,17 @@ type SubsystemHealth struct {
 // subsystem name order below. The worst rung across subsystems is the
 // domain's effective state.
 //
-// The report is cached behind a fingerprint of the counters it is built
-// from: polls while nothing changed return a copy of the last report (one
-// bounded allocation, no formatting), so a status loop or scrape endpoint
-// can call this every few seconds without rebuilding strings each time.
+// The report is built fresh on every call (about a microsecond; callers
+// poll it once per scrape or status tick) and belongs to the caller.
 // Safe concurrent with Close — the probes read atomics and their own
 // locks, never the stores Close tears down.
 func (d *Domain) Health() []SubsystemHealth {
 	// Skew rides the health poll cadence: at most one evaluation per
 	// debounce window, outside healthMu (see diag.go).
 	d.checkSkewDiag()
-	fp := d.healthFingerprint()
 	d.healthMu.Lock()
 	defer d.healthMu.Unlock()
-	if d.healthInit && fp == d.healthFP {
-		out := make([]SubsystemHealth, len(d.healthLast))
-		copy(out, d.healthLast[:])
-		return out
-	}
-	report := [4]SubsystemHealth{
+	report := []SubsystemHealth{
 		d.auditStoreHealth(),
 		d.linkHealth(),
 		d.busHealth(),
@@ -106,36 +98,8 @@ func (d *Domain) Health() []SubsystemHealth {
 		}
 		d.maybeCaptureDiag(worst.String())
 	}
-	d.healthFP, d.healthLast, d.healthWorst, d.healthInit = fp, report, worst, true
-	out := make([]SubsystemHealth, len(report))
-	copy(out, report[:])
-	return out
-}
-
-// healthFingerprint folds every input the subsystem probes read into one
-// value, without allocating: equal fingerprints mean the cached report is
-// still accurate.
-func (d *Domain) healthFingerprint() uint64 {
-	const prime = 1099511628211
-	var h uint64 = 14695981039346656037
-	mix := func(v uint64) { h = (h ^ v) * prime }
-	if d.auditStore != nil {
-		sh := d.auditStore.Health()
-		mix(sh.Shed)
-		mix(uint64(sh.Buffered))
-		if sh.Degraded {
-			mix(1)
-		}
-	}
-	mix(d.bus.LinkHealthFingerprint())
-	delivered, overflow := d.bus.HealthTotals()
-	mix(delivered)
-	mix(overflow)
-	mix(uint64(d.oblSched.Len()))
-	if d.closed.Load() {
-		mix(1)
-	}
-	return h
+	d.healthWorst, d.healthInit = worst, true
+	return report
 }
 
 // auditStoreHealth maps the durable store's degradation state onto the

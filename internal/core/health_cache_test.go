@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-// TestHealthCachedAllocBounded is the regression test for the old
-// rebuild-every-poll behaviour: in a stable domain, repeated Health()
-// calls must hit the fingerprint cache and stay allocation-bounded (the
-// copy of the cached report, not a fresh formatted rebuild).
-func TestHealthCachedAllocBounded(t *testing.T) {
-	clock := newTestClock()
-	d, src := obligationDomain(t, t.TempDir(), clock)
-	publishTelemetry(t, src, "pump-1", 5)
-	d.Log().Flush()
-	if err := d.AuditStore().Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	d.Health() // warm the cache
-	allocs := testing.AllocsPerRun(200, func() { d.Health() })
-	if allocs > 2 {
-		t.Fatalf("Health() on the cached path allocates %.1f objects per call, want <= 2", allocs)
-	}
-}
-
 // TestHealthCacheCopiesAndInvalidates: the cached path must hand out
 // copies (a caller mutating the report cannot poison the cache), and a
 // real state change must invalidate the fingerprint so the next poll
@@ -60,8 +40,8 @@ func TestHealthCacheCopiesAndInvalidates(t *testing.T) {
 }
 
 // TestHealthConcurrentWithClose hammers Health() from several goroutines
-// while the domain closes; under -race this proves the cached report and
-// the fingerprint probes are safe against teardown.
+// while the domain closes; under -race this proves the subsystem probes
+// and the transition state are safe against teardown.
 func TestHealthConcurrentWithClose(t *testing.T) {
 	clock := newTestClock()
 	d, src := obligationDomain(t, t.TempDir(), clock)

@@ -230,11 +230,6 @@ type Bus struct {
 	// pubHist times publish calls end to end (zero cost while telemetry
 	// is disabled: Start returns the zero time after one atomic load).
 	pubHist *telemetry.Histogram
-
-	// maxWireVer caps the link protocol version this bus advertises in
-	// hellos; 0 means the compiled-in maximum. Tests set it before
-	// linking to exercise v3 interop against a v4 build.
-	maxWireVer int
 }
 
 // NewBus builds a single-shard bus. The ACL governs the control plane (who
@@ -305,18 +300,8 @@ func NewShardedBus(name string, shards int, acl *ac.ACL, store *ctxmodel.Store, 
 // Name returns the bus name (used in cross-bus addresses).
 func (b *Bus) Name() string { return b.name }
 
-// maxWire is the highest link protocol version this bus advertises in
-// hellos (maxWireVer caps it for interop tests; 0 means the compiled-in
-// maximum).
-func (b *Bus) maxWire() byte {
-	if b.maxWireVer >= linkVersionMin && b.maxWireVer < int(linkVersion) {
-		return byte(b.maxWireVer)
-	}
-	return linkVersion
-}
-
 // SetJurisdiction declares the jurisdictions this bus resides in. The
-// declaration travels in the federation hello (wire protocol v3), where
+// declaration travels in the federation hello, where
 // peer buses use it to gate egress of residency-constrained data; links
 // established before the call keep the jurisdiction they greeted with
 // until their next reconnect.

@@ -18,10 +18,11 @@
 //   - Cross-bus links over package transport, so two machines' substrates
 //     enforce co-operatively (Fig. 9): the sender's bus checks egress, the
 //     receiver's bus re-checks ingress against its own view. Links speak
-//     the batched binary wire protocol v2 (wire.go) through a bounded,
-//     backpressured per-peer egress queue, and dialed links self-heal:
-//     reconnect with exponential backoff, then resume the session by
-//     replaying every egress channel's connect handshake (link.go).
+//     the batched binary link protocol (one version; wire.go) through a
+//     bounded, backpressured per-peer egress queue, and dialed links
+//     self-heal: reconnect with exponential backoff, then resume the
+//     session by replaying every egress channel's connect handshake
+//     (link.go).
 //
 // # Sharded core
 //

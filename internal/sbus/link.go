@@ -31,8 +31,8 @@ var fpLinkSend = fault.New("sbus.link.send")
 // message against its *own* current view of the destination — neither side
 // trusts the other's enforcement blindly.
 //
-// Link protocol v2 (see wire.go for the frame encoding) adds the
-// machine-to-machine resilience the v1 JSON protocol lacked:
+// Links speak the binary link protocol (see wire.go for the frame
+// encoding) and add machine-to-machine resilience:
 //
 //   - One writer goroutine per link drains a bounded send queue and
 //     coalesces bursts into batched transport frames (pipelining: a
@@ -233,16 +233,10 @@ type link struct {
 	// keeps touching QueueCap means egress is about to hit backpressure.
 	highWater atomic.Uint64
 
-	// wireVer is the link protocol version negotiated with the peer at
-	// hello time (refreshed on every reconnect): frames queue in v5 form
-	// and the writer truncates their trailers down to what this version
-	// carries (v4 loses the egress bytes, v3 the whole trailer).
-	wireVer atomic.Uint32
-
 	// txBytes/rxBytes/batchFrames are the link's telemetry instruments
 	// (bytes on and off the wire, frames per coalesced batch); stageHop is
 	// the per-peer link_egress→ingress stage edge, observed at ingress
-	// from the v5 egress timestamp.
+	// from the frame trailer's egress timestamp.
 	txBytes     *telemetry.Counter
 	rxBytes     *telemetry.Counter
 	batchFrames *telemetry.Histogram
@@ -259,15 +253,6 @@ func (l *link) noteDepth() {
 			return
 		}
 	}
-}
-
-// wireVersion reads the negotiated protocol version (v3 until a hello
-// says otherwise).
-func (l *link) wireVersion() byte {
-	if v := l.wireVer.Load(); v >= linkVersionMin {
-		return byte(v)
-	}
-	return linkVersionMin
 }
 
 // newLink builds a link shell (no connection attached yet).
@@ -309,53 +294,38 @@ func (b *Bus) newLink(peer string, network transport.Network, addr string) *link
 	return l
 }
 
-// negotiateWire folds a hello's version advertisement (the hello frame's
-// ID field; zero from a v3 build, which advertised nothing) into the
-// session version: min(ours, theirs), clamped to the supported range.
-func negotiateWire(local byte, advert uint64) byte {
-	theirs := byte(linkVersionMin)
-	if advert >= linkVersionMin && advert <= 0xFF {
-		theirs = byte(advert)
-	}
-	if theirs < local {
-		return theirs
-	}
-	return local
-}
-
 // dialHello dials a peer and performs the hello exchange, returning the
-// live connection, the peer's bus name, its declared jurisdiction and the
-// negotiated link protocol version.
-func dialHello(b *Bus, network transport.Network, addr string) (transport.Conn, string, ifc.Label, byte, error) {
+// live connection, the peer's bus name and its declared jurisdiction.
+func dialHello(b *Bus, network transport.Network, addr string) (transport.Conn, string, ifc.Label, error) {
 	conn, err := network.Dial(addr)
 	if err != nil {
-		return nil, "", ifc.EmptyLabel, 0, err
+		return nil, "", ifc.EmptyLabel, err
 	}
-	hello := LinkFrame{Kind: "hello", ID: uint64(b.maxWire()), Bus: b.name, SrcJurisdiction: b.Jurisdiction()}
+	hello := LinkFrame{Kind: "hello", Bus: b.name, SrcJurisdiction: b.Jurisdiction()}
 	buf, err := encodeSingle(&hello)
 	if err != nil {
 		conn.Close()
-		return nil, "", ifc.EmptyLabel, 0, err
+		return nil, "", ifc.EmptyLabel, err
 	}
 	if err := conn.Send(buf); err != nil {
 		conn.Close()
-		return nil, "", ifc.EmptyLabel, 0, err
+		return nil, "", ifc.EmptyLabel, err
 	}
 	raw, err := conn.Recv()
 	if err != nil {
 		conn.Close()
-		return nil, "", ifc.EmptyLabel, 0, err
+		return nil, "", ifc.EmptyLabel, err
 	}
 	frames, err := DecodeBatch(raw)
 	if err != nil {
 		conn.Close()
-		return nil, "", ifc.EmptyLabel, 0, fmt.Errorf("sbus: hello from %s: %w", addr, err)
+		return nil, "", ifc.EmptyLabel, fmt.Errorf("sbus: hello from %s: %w", addr, err)
 	}
 	if len(frames) != 1 || frames[0].Kind != "hello" || frames[0].Bus == "" {
 		conn.Close()
-		return nil, "", ifc.EmptyLabel, 0, fmt.Errorf("%w: bad hello from %s", ErrProtocol, addr)
+		return nil, "", ifc.EmptyLabel, fmt.Errorf("%w: bad hello from %s", ErrProtocol, addr)
 	}
-	return conn, frames[0].Bus, frames[0].SrcJurisdiction, negotiateWire(b.maxWire(), frames[0].ID), nil
+	return conn, frames[0].Bus, frames[0].SrcJurisdiction, nil
 }
 
 // LinkTo dials a peer bus, performs the hello exchange and starts the
@@ -363,13 +333,12 @@ func dialHello(b *Bus, network transport.Network, addr string) (transport.Conn, 
 // channels already routed to that peer (from an earlier link) are replayed
 // so the session resumes where it left off.
 func (b *Bus) LinkTo(network transport.Network, addr string) (string, error) {
-	conn, peer, peerJur, wireVer, err := dialHello(b, network, addr)
+	conn, peer, peerJur, err := dialHello(b, network, addr)
 	if err != nil {
 		return "", err
 	}
 	l := b.newLink(peer, network, addr)
 	l.peerJur = peerJur
-	l.wireVer.Store(uint32(wireVer))
 	// Replay any surviving egress channels *before* addLink makes the
 	// link routable: once publishers can reach the queue, their message
 	// frames must never get ahead of the connect handshakes.
@@ -383,8 +352,8 @@ func (b *Bus) LinkTo(network transport.Network, addr string) (string, error) {
 
 // ServeLink handles one inbound link connection (blocking until the hello
 // completes; the read loop then runs in the background). A peer speaking
-// an incompatible protocol version — including legacy v1 JSON — is
-// rejected with ErrProtocol.
+// another protocol version — including legacy JSON — is rejected with
+// ErrProtocol.
 func (b *Bus) ServeLink(conn transport.Conn) error {
 	raw, err := conn.Recv()
 	if err != nil {
@@ -400,7 +369,7 @@ func (b *Bus) ServeLink(conn transport.Conn) error {
 		conn.Close()
 		return fmt.Errorf("%w: handshake did not open with hello", ErrProtocol)
 	}
-	reply := LinkFrame{Kind: "hello", ID: uint64(b.maxWire()), Bus: b.name, SrcJurisdiction: b.Jurisdiction()}
+	reply := LinkFrame{Kind: "hello", Bus: b.name, SrcJurisdiction: b.Jurisdiction()}
 	buf, err := encodeSingle(&reply)
 	if err != nil {
 		conn.Close()
@@ -412,7 +381,6 @@ func (b *Bus) ServeLink(conn transport.Conn) error {
 	}
 	l := b.newLink(frames[0].Bus, nil, conn.RemoteAddr())
 	l.peerJur = frames[0].SrcJurisdiction
-	l.wireVer.Store(uint32(negotiateWire(b.maxWire(), frames[0].ID)))
 	// As in LinkTo: re-establish this bus's own egress channels over the
 	// fresh inbound link before it becomes routable.
 	l.replayEgress(conn)
@@ -598,32 +566,6 @@ func (b *Bus) Links() []string {
 	return out
 }
 
-// LinkHealthFingerprint folds every link's peer name and state into one
-// value that changes whenever link health changes. Unlike LinkStatus it
-// never allocates, so health polls can consult it cheaply and rebuild the
-// full status only when something actually moved.
-func (b *Bus) LinkHealthFingerprint() uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	// Per-link hashes are summed, not chained: map iteration order is
-	// random, and the fingerprint must not depend on it.
-	var h uint64
-	for peer, l := range *b.links.Load() {
-		ph := uint64(fnvOffset)
-		for i := 0; i < len(peer); i++ {
-			ph = (ph ^ uint64(peer[i])) * fnvPrime
-		}
-		l.mu.Lock()
-		st := l.state
-		l.mu.Unlock()
-		ph = (ph ^ (uint64(st) + 1)) * fnvPrime
-		h += ph
-	}
-	return h
-}
-
 // LinkStatus snapshots every link, sorted by peer name.
 func (b *Bus) LinkStatus() []LinkStatus {
 	m := *b.links.Load()
@@ -668,10 +610,9 @@ func (l *link) enqueue(frame []byte) error {
 	}
 }
 
-// sendFrame encodes one frame (v5 form; the writer strips the trailer
-// suffixes for v4/v3 peers) and enqueues it.
+// sendFrame encodes one frame and enqueues it.
 func (l *link) sendFrame(f *LinkFrame) error {
-	buf, err := appendLinkFrameV5(nil, f)
+	buf, err := AppendLinkFrame(nil, f)
 	if err != nil {
 		return err
 	}
@@ -742,20 +683,8 @@ func (l *link) writeLoop() {
 				continue
 			}
 		}
-		// Queued frames carry the full v5 trailer; emit them as-is to a
-		// v5 peer, with the egress bytes truncated to a v4 peer, or with
-		// the whole fixed-size trailer truncated (traces and stage stamps
-		// dropped cleanly, nothing re-encoded) to a v3 peer. The version
-		// is re-read per batch: a reconnect may have renegotiated it.
-		ver := l.wireVersion()
-		buf = appendBatchHeaderV(buf[:0], ver, len(batch))
+		buf = AppendBatchHeader(buf[:0], len(batch))
 		for _, f := range batch {
-			switch {
-			case ver < 4:
-				f = f[:len(f)-trailerLenV5]
-			case ver < 5:
-				f = f[:len(f)-egressTrailerLen]
-			}
 			buf = append(buf, f...)
 		}
 		if err := conn.Send(buf); err != nil {
@@ -834,7 +763,7 @@ func (l *link) redial() (transport.Conn, int, error) {
 		if backoff > l.cfg.BackoffMax {
 			backoff = l.cfg.BackoffMax
 		}
-		conn, peer, peerJur, wireVer, err := dialHello(l.bus, l.network, l.addr)
+		conn, peer, peerJur, err := dialHello(l.bus, l.network, l.addr)
 		if err != nil {
 			lastErr = err
 			continue
@@ -847,7 +776,6 @@ func (l *link) redial() (transport.Conn, int, error) {
 		l.mu.Lock()
 		l.peerJur = peerJur // the peer may have redeclared (e.g. migrated)
 		l.mu.Unlock()
-		l.wireVer.Store(uint32(wireVer)) // the peer may have up/downgraded
 		return conn, attempt, nil
 	}
 	return nil, l.cfg.RetryBudget, lastErr
@@ -910,13 +838,12 @@ func (l *link) replayEgress(conn transport.Conn) int {
 	// scratch — never a half-resumed session that looks up. Unencodable
 	// connects (>64KiB field) are skipped; their waiters time out.
 	count := 0
-	ver := l.wireVersion()
 	var body []byte
 	flush := func() bool {
 		if count == 0 {
 			return true
 		}
-		packed := appendBatchHeaderV(nil, ver, count)
+		packed := AppendBatchHeader(nil, count)
 		packed = append(packed, body...)
 		if err := conn.Send(packed); err != nil {
 			conn.Close()
@@ -927,15 +854,8 @@ func (l *link) replayEgress(conn transport.Conn) int {
 		count, body = 0, body[:0]
 		return true
 	}
-	appendFrame := AppendLinkFrame
-	switch {
-	case ver >= 5:
-		appendFrame = appendLinkFrameV5
-	case ver >= 4:
-		appendFrame = appendLinkFrameV4
-	}
 	for i := range frames {
-		next, err := appendFrame(body, &frames[i])
+		next, err := AppendLinkFrame(body, &frames[i])
 		if err != nil {
 			continue
 		}
@@ -1081,8 +1001,7 @@ func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, remoteBus, remo
 	}
 	if m.Stage != nil {
 		// Stage-attributed flow: stamp link egress so the receiver can
-		// observe the link-hop edge and resume the stage clock (v5 trailer;
-		// older peers never see the stamp — writeLoop strips it).
+		// observe the link-hop edge and resume the stage clock.
 		f.EgressNs = uint64(time.Now().UnixNano())
 	}
 	buf, err := appendMessageFrame(nil, &f, m)

@@ -3,6 +3,7 @@ package sbus
 import (
 	"errors"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -337,5 +338,50 @@ func TestEgressBatchingCoalesces(t *testing.T) {
 	// everything arrived; the batching win shows up in B12.
 	if st := home.LinkStatus(); st[0].QueueDepth != 0 {
 		t.Fatalf("queue not drained: %+v", st[0])
+	}
+}
+
+// TestHandshakeRejectsOtherVersion: a peer whose hello batch is stamped
+// with another protocol version (here v4, whose trailer stops after the
+// trace bytes) is refused at the handshake: its conn is closed with no
+// reply, no link is added, and the bus audits the rejection.
+func TestHandshakeRejectsOtherVersion(t *testing.T) {
+	net := transport.NewMemNetwork()
+	bus := NewBus("cloud-bus", openACL(), nil, nil)
+	listener, err := net.Listen("cloud-addr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go bus.Serve(listener)
+	t.Cleanup(func() { listener.Close() })
+
+	conn, err := net.Dial("cloud-addr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello, err := encodeSingle(&LinkFrame{Kind: "hello", Bus: "old-bus"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello[1] = 4
+	hello = hello[:len(hello)-egressTrailerLen]
+	if err := conn.Send(hello); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := conn.Recv(); err == nil {
+		t.Fatalf("v4 hello answered with %d bytes, want the conn closed", len(reply))
+	}
+	rejected := func() []audit.Record {
+		return bus.Log().Select(func(r audit.Record) bool {
+			return strings.HasPrefix(r.Note, "link handshake rejected")
+		})
+	}
+	waitFor(t, func() bool { return len(rejected()) == 1 }, "handshake rejection audit")
+	if got := rejected()[0].Note; !strings.Contains(got, "v4") {
+		t.Fatalf("rejection audit %q does not name the peer's version", got)
+	}
+	if links := bus.Links(); len(links) != 0 {
+		t.Fatalf("links after a rejected handshake = %v, want none", links)
 	}
 }

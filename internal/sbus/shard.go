@@ -150,17 +150,6 @@ func (b *Bus) shardFor(component string) *shard {
 // NumShards returns the bus's shard count (>= 1).
 func (b *Bus) NumShards() int { return len(b.shards) }
 
-// HealthTotals sums delivered and overflow counts across shards without
-// allocating (the health fingerprint path polls it every few seconds;
-// ShardStats allocates a snapshot and is for tooling).
-func (b *Bus) HealthTotals() (delivered, overflow uint64) {
-	for _, sh := range b.shards {
-		delivered += sh.delivered.Load()
-		overflow += sh.overflow.Load()
-	}
-	return delivered, overflow
-}
-
 // ShardOf reports which shard the named component maps to. The mapping is
 // stable for the life of the bus, whether or not the component is
 // registered yet.

@@ -143,90 +143,12 @@ func TestTraceRelayTwoHops(t *testing.T) {
 	}
 }
 
-// TestLinkNegotiationV3V4 links a current (v4) bus to one capped at
-// protocol v3: every frame must flow (nothing rejected), and the trace
-// trailer is dropped cleanly at the wire, so deliveries on the v3 side
-// arrive untraced.
-func TestLinkNegotiationV3V4(t *testing.T) {
-	traceTestSetup(t)
-	netw := transport.NewMemNetwork()
-
-	v4 := NewBus("neg-v4", openACL(), nil, nil)
-	v3 := NewBus("neg-v3", openACL(), nil, nil)
-	v3.maxWireVer = 3 // simulate a peer built before the trace trailer
-
-	ln, err := netw.Listen("v3-addr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go v3.Serve(ln)
-	t.Cleanup(func() { ln.Close() })
-
-	if _, err := v4.LinkTo(netw, "v3-addr"); err != nil {
-		t.Fatal(err)
-	}
-	if l := v4.linkTo("neg-v3"); l == nil || l.wireVersion() != 3 {
-		t.Fatalf("negotiated version = %v, want 3", l.wireVersion())
-	}
-
-	if _, err := v4.Register("dev", "hospital", annCtx(), nil,
-		EndpointSpec{Name: "out", Dir: Source, Schema: vitalsSchema()}); err != nil {
-		t.Fatal(err)
-	}
-	rec := &sinkRecorder{}
-	if _, err := v3.Register("sink", "hospital", annCtx(), rec.handler(),
-		EndpointSpec{Name: "in", Dir: Sink, Schema: vitalsSchema()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := v4.Connect("hospital", "dev.out", "neg-v3:sink.in"); err != nil {
-		t.Fatal(err)
-	}
-
-	dev, _ := v4.Component("dev")
-	const sent = 10
-	for i := 0; i < sent; i++ {
-		if n, err := dev.Publish("out", vitalsMessage("ann", 72)); err != nil || n != 1 {
-			t.Fatalf("publish %d = %d, %v", i, n, err)
-		}
-	}
-	waitFor(t, func() bool { return rec.count() == sent }, "v3 deliveries")
-
-	// The sender traced its publishes and egress...
-	egress := v4.Log().Select(func(r audit.Record) bool {
-		return r.Kind == audit.FlowAllowed && r.Note == "egress to peer bus"
-	})
-	if len(egress) != sent {
-		t.Fatalf("egress records = %d, want %d", len(egress), sent)
-	}
-	for _, r := range egress {
-		if r.TraceID == "" {
-			t.Fatal("v4 side should have traced its egress")
-		}
-	}
-	// ...but the v3 peer received plain frames: no rejected frames, no
-	// trace IDs, deliveries intact.
-	delivered := v3.Log().Select(func(r audit.Record) bool {
-		return r.Kind == audit.FlowAllowed && r.Note == "delivered"
-	})
-	if len(delivered) != sent {
-		t.Fatalf("v3 deliveries audited = %d, want %d", len(delivered), sent)
-	}
-	for _, r := range delivered {
-		if r.TraceID != "" {
-			t.Fatalf("trace ID %q crossed a v3 link", r.TraceID)
-		}
-	}
-}
-
-// TestLinkNegotiationCurrentBoth confirms two current buses negotiate the
-// newest protocol and keep the trailer: the trace ID survives the link and
-// lands in the peer's audit records.
+// TestLinkNegotiationCurrentBoth confirms two current buses keep the frame
+// trailer: the trace ID survives the link and lands in the peer's audit
+// records.
 func TestLinkNegotiationCurrentBoth(t *testing.T) {
 	traceTestSetup(t)
 	home, cloud, rec := linkedBuses(t)
-	if l := home.linkTo("cloud-bus"); l == nil || l.wireVersion() != linkVersion {
-		t.Fatalf("negotiated version = %v, want %d", l.wireVersion(), linkVersion)
-	}
 	if err := home.Connect("hospital", "ann-device.out", "cloud-bus:ann-analyser.in"); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +161,7 @@ func TestLinkNegotiationCurrentBoth(t *testing.T) {
 		return r.Kind == audit.FlowAllowed && r.Note == "delivered"
 	})
 	if len(delivered) != 1 || delivered[0].TraceID == "" {
-		t.Fatalf("v4 peer should audit the trace ID, got %+v", delivered)
+		t.Fatalf("peer should audit the trace ID, got %+v", delivered)
 	}
 	m, _ := rec.last()
 	if m.Trace.IsZero() || m.Trace.Hop != 1 {

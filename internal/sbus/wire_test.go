@@ -3,7 +3,9 @@ package sbus
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"lciot/internal/ifc"
@@ -64,7 +66,7 @@ func TestWireMessageFrameMatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Payload = payload
-	generic, err := appendLinkFrameV5(nil, &f)
+	generic, err := AppendLinkFrame(nil, &f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,18 +109,50 @@ func TestWireRejectsLegacyJSONCleanly(t *testing.T) {
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("v1 JSON frame: err = %v, want ErrProtocol", err)
 	}
-	if got := err.Error(); got == "" || !containsAll(got, "v1", "v3") {
+	if got := err.Error(); got == "" || !containsAll(got, "v1", "v5") {
 		t.Fatalf("rejection message should name both versions, got %q", got)
 	}
 }
 
 func TestWireRejectsFutureVersion(t *testing.T) {
-	buf := AppendBatchHeader(nil, 0)
-	buf[1] = 9 // pretend v9
-	_, err := DecodeBatch(buf)
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("v9 batch: err = %v, want ErrProtocol", err)
+	// Older and newer versions alike: there is one link protocol version,
+	// and a batch stamped with any other is a protocol mismatch.
+	for _, v := range []byte{3, 4, 6, 9} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			f := testFrame()
+			buf, err := encodeSingle(&f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf[1] = v
+			_, err = DecodeBatch(buf)
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("v%d batch: err = %v, want ErrProtocol", v, err)
+			}
+			if got := err.Error(); !containsAll(got, fmt.Sprintf("v%d", v), fmt.Sprintf("v%d", linkVersion)) {
+				t.Fatalf("rejection message should name both versions, got %q", got)
+			}
+		})
 	}
+}
+
+// TestWireForgedCountAllocationBounded: the batch count comes from an
+// unauthenticated peer, so a 4-byte header declaring 65535 frames must be
+// rejected before the frame slice is allocated for it.
+func TestWireForgedCountAllocationBounded(t *testing.T) {
+	forged := []byte{linkMagic, linkVersion, 0xFF, 0xFF}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		if _, err := DecodeBatch(forged); !errors.Is(err, ErrWire) {
+			t.Fatalf("forged count: err = %v, want ErrWire", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if total := after.TotalAlloc - before.TotalAlloc; total >= 1<<20 {
+		t.Fatalf("100 forged headers allocated %d bytes, want < 1 MiB", total)
+	}
+
 }
 
 func TestWireRejectsBadMagicAndKind(t *testing.T) {
@@ -130,6 +164,7 @@ func TestWireRejectsBadMagicAndKind(t *testing.T) {
 	}
 	buf := AppendBatchHeader(nil, 1)
 	buf = append(buf, 0xEE) // unknown kind byte
+	buf = append(buf, make([]byte, minFrameLen-1)...)
 	if _, err := DecodeBatch(buf); !errors.Is(err, ErrWire) {
 		t.Fatalf("unknown kind: err = %v, want ErrWire", err)
 	}

@@ -39,8 +39,8 @@ check 'B1.B1[0-6]([^0-9]|$)' \
     'the benchmark table range is B1–B17 (BENCH_10.json)'
 check 'histograms in summary form|latency summaries \(p50/p90/p99\)' \
     '/metrics serves native histograms (le buckets) with companion _quantile gauges'
-check 'Link protocol v2/v3/v4([^/]|$)' \
-    'the link protocol is v2–v5; v5 carries the stage-clock egress timestamp'
+check '(re)?negotiates?([^a-z]|$)|version negotiation|truncates? (the |their |its )?trailers?|v5↔v4' \
+    'links speak one protocol version (v5); nothing negotiates versions or truncates trailers'
 check 'serves four surfaces' \
     'the operator surface has five endpoints: /metrics, /healthz, /traces, /lanes, pprof'
 
