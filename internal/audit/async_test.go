@@ -61,7 +61,7 @@ func TestAsyncTamperDetected(t *testing.T) {
 	}
 	l.Flush()
 	l.mu.Lock()
-	l.records[17].Note = "doctored"
+	l.records.At(17).Note = "doctored"
 	l.mu.Unlock()
 	bad, err := l.Verify()
 	if !errors.Is(err, ErrChainBroken) || bad != 17 {

@@ -83,7 +83,7 @@ func (g *Graph) DOT() string {
 	b.WriteString("digraph provenance {\n")
 	for _, id := range ids {
 		shape := "box"
-		switch g.slots[g.index[id]].kind {
+		switch g.at(g.index[id]).kind {
 		case NodeData:
 			shape = "ellipse"
 		case NodeAgent:
@@ -92,15 +92,15 @@ func (g *Graph) DOT() string {
 		fmt.Fprintf(&b, "  %q [shape=%s];\n", id, shape)
 	}
 	for _, src := range ids {
-		edges := append([]half(nil), g.slots[g.index[src]].out...)
+		edges := append([]half(nil), g.at(g.index[src]).out...)
 		sort.Slice(edges, func(i, j int) bool {
-			if di, dj := g.slots[edges[i].to].id, g.slots[edges[j].to].id; di != dj {
+			if di, dj := g.at(edges[i].to).id, g.at(edges[j].to).id; di != dj {
 				return di < dj
 			}
 			return edges[i].kind < edges[j].kind
 		})
 		for _, h := range edges {
-			fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", src, g.slots[h.to].id, EdgeKind(h.kind).String())
+			fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", src, g.at(h.to).id, EdgeKind(h.kind).String())
 		}
 	}
 	b.WriteString("}\n")
@@ -133,10 +133,10 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 
 	out := jsonGraph{}
 	for _, id := range g.sortedIDsLocked() {
-		s := &g.slots[g.index[id]]
+		s := g.at(g.index[id])
 		out.Nodes = append(out.Nodes, jsonNode{ID: id, Kind: s.kind.String(), Attrs: s.attrs})
 		for _, h := range s.out {
-			out.Edges = append(out.Edges, jsonEdge{Src: id, Dst: g.slots[h.to].id, Kind: EdgeKind(h.kind).String()})
+			out.Edges = append(out.Edges, jsonEdge{Src: id, Dst: g.at(h.to).id, Kind: EdgeKind(h.kind).String()})
 		}
 	}
 	return json.Marshal(out)

@@ -16,11 +16,24 @@
 // under the chain lock — chain-head assignment stays serialized, which
 // is what makes the chain a total order — and delivers each committed
 // batch to the registered sinks in sequence. Tickets are issued under
-// the lane lock, so one goroutine's appends can never commit out of
-// program order, and Flush's watermark (tickets issued vs records
-// committed) is exact. Append remains the synchronous path for records
-// whose sequence number the caller needs immediately; SetStagingLanes
-// grows the lane set (the sharded bus sizes it to its shard count).
+// the lane lock, and each hasher pass takes only records ticketed before
+// it began, so a batch has no gaps: one goroutine's appends can never
+// commit out of program order, whatever lanes it used, and Flush's
+// watermark (tickets issued vs records committed) is exact. Append
+// remains the synchronous path for records whose sequence number the
+// caller needs immediately; SetStagingLanes grows the lane set (the
+// sharded bus sizes it to its shard count). Lane buffers and the
+// hasher's batch buffer are cleared and reused after each pass; one
+// that a burst grew past 1024 entries is dropped once it is found empty.
+//
+// # Storage that never moves
+//
+// The retained chain and the graph's node table are stored in fixed
+// chunks of 1024 elements (chunkSeq): appending never copies what was
+// written before, and Log.Prune releases whole chunks and zeroes the
+// pruned slots of the chunk it keeps. A Record is 280 bytes; Kind and
+// Layer are single bytes, as they already were in the hash preimage and
+// the binary codec, so chains and WAL segments written earlier verify.
 //
 // # Incremental provenance
 //

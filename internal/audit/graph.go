@@ -104,7 +104,9 @@ type Graph struct {
 	mu sync.RWMutex
 	// index maps each live node ID to its slot.
 	index map[string]int32
-	slots []slot
+	// slots is the node table, in fixed chunks: a new node never moves
+	// the existing ones.
+	slots chunkSeq[slot]
 	// free lists the slots RemoveNodes released, for reuse.
 	free []int32
 	// pairs is the edge set for edges with no data endpoint. An edge that
@@ -131,6 +133,9 @@ type slot struct {
 	out, in []half
 	kind    NodeKind
 }
+
+// at returns slot i of the node table.
+func (g *Graph) at(i int32) *slot { return g.slots.At(int(i)) }
 
 // A half is one end's view of an edge: the slot at the far end and the
 // edge kind.
@@ -178,7 +183,7 @@ func (g *Graph) AddNode(n Node) {
 		g.newSlotLocked(n.ID, n.Kind, n.Attrs)
 		return
 	}
-	s := &g.slots[i]
+	s := g.at(i)
 	if (s.kind == NodeData) == (n.Kind == NodeData) {
 		s.kind, s.attrs = n.Kind, n.Attrs
 		return
@@ -198,10 +203,10 @@ func (g *Graph) AddNode(n Node) {
 // forEachEdgeLocked calls fn with every edge touching slot i. A self-loop
 // is reported twice.
 func (g *Graph) forEachEdgeLocked(i int32, fn func(pairKey)) {
-	for _, h := range g.slots[i].out {
+	for _, h := range g.at(i).out {
 		fn(pairKey{src: i, dst: h.to, kind: h.kind})
 	}
-	for _, h := range g.slots[i].in {
+	for _, h := range g.at(i).in {
 		fn(pairKey{src: h.to, dst: i, kind: h.kind})
 	}
 }
@@ -217,10 +222,10 @@ func (g *Graph) newSlotLocked(id string, kind NodeKind, attrs map[string]string)
 	if n := len(g.free); n > 0 {
 		i = g.free[n-1]
 		g.free = g.free[:n-1]
-		g.slots[i] = s
+		*g.at(i) = s
 	} else {
-		i = int32(len(g.slots))
-		g.slots = append(g.slots, s)
+		i = int32(g.slots.Len())
+		g.slots.Append(s)
 	}
 	g.index[id] = i
 	return i
@@ -229,7 +234,7 @@ func (g *Graph) newSlotLocked(id string, kind NodeKind, attrs map[string]string)
 // inPairsLocked reports whether an edge between slots a and b is kept in
 // the pairs set: it is when neither endpoint is a data node.
 func (g *Graph) inPairsLocked(a, b int32) bool {
-	return g.slots[a].kind != NodeData && g.slots[b].kind != NodeData
+	return g.at(a).kind != NodeData && g.at(b).kind != NodeData
 }
 
 // AddEdge inserts a directed edge; both endpoints must exist. Adding an
@@ -264,8 +269,8 @@ func (g *Graph) addEdgeLocked(src, dst int32, kind uint8) {
 	} else {
 		// One end is a data node; both lists hold the edge, so scan the
 		// shorter one.
-		list, want := g.slots[src].out, half{to: dst, kind: kind}
-		if in := g.slots[dst].in; len(in) < len(list) {
+		list, want := g.at(src).out, half{to: dst, kind: kind}
+		if in := g.at(dst).in; len(in) < len(list) {
 			list, want = in, half{to: src, kind: kind}
 		}
 		for _, h := range list {
@@ -274,8 +279,9 @@ func (g *Graph) addEdgeLocked(src, dst int32, kind uint8) {
 			}
 		}
 	}
-	g.slots[src].out = append(g.slots[src].out, half{to: dst, kind: kind})
-	g.slots[dst].in = append(g.slots[dst].in, half{to: src, kind: kind})
+	s, d := g.at(src), g.at(dst)
+	s.out = append(s.out, half{to: dst, kind: kind})
+	d.in = append(d.in, half{to: src, kind: kind})
 	g.edges++
 	g.epoch++
 }
@@ -309,34 +315,34 @@ func (g *Graph) RemoveNodes(ids map[string]bool) int {
 		return 0
 	}
 	for _, i := range dead {
-		g.slots[i].kind = freeKind
+		g.at(i).kind = freeKind
 	}
 	// Count the removed edges (an edge between two removed nodes once, by
 	// its out half) and collect the surviving neighbours whose lists must
 	// drop halves pointing at removed slots.
 	touched := make(map[int32]struct{})
 	for _, i := range dead {
-		g.edges -= len(g.slots[i].out)
-		for _, h := range g.slots[i].out {
-			if g.slots[h.to].kind != freeKind {
+		g.edges -= len(g.at(i).out)
+		for _, h := range g.at(i).out {
+			if g.at(h.to).kind != freeKind {
 				touched[h.to] = struct{}{}
 			}
 		}
-		for _, h := range g.slots[i].in {
-			if g.slots[h.to].kind != freeKind {
+		for _, h := range g.at(i).in {
+			if g.at(h.to).kind != freeKind {
 				g.edges--
 				touched[h.to] = struct{}{}
 			}
 		}
 	}
 	for t := range touched {
-		s := &g.slots[t]
+		s := g.at(t)
 		s.out = g.dropFreedLocked(s.out)
 		s.in = g.dropFreedLocked(s.in)
 	}
 	for _, i := range dead {
-		delete(g.index, g.slots[i].id)
-		g.slots[i] = slot{kind: freeKind}
+		delete(g.index, g.at(i).id)
+		*g.at(i) = slot{kind: freeKind}
 		g.free = append(g.free, i)
 	}
 	g.epoch++
@@ -348,7 +354,7 @@ func (g *Graph) RemoveNodes(ids map[string]bool) int {
 func (g *Graph) dropFreedLocked(list []half) []half {
 	kept := list[:0]
 	for _, h := range list {
-		if g.slots[h.to].kind != freeKind {
+		if g.at(h.to).kind != freeKind {
 			kept = append(kept, h)
 		}
 	}
@@ -363,7 +369,7 @@ func (g *Graph) Node(id string) (Node, bool) {
 	if !ok {
 		return Node{}, false
 	}
-	s := &g.slots[i]
+	s := g.at(i)
 	return Node{ID: s.id, Kind: s.kind, Attrs: s.attrs}, true
 }
 
@@ -431,16 +437,16 @@ func (g *Graph) walkLocked(id string, outgoing bool) []string {
 	for len(todo) > 0 {
 		n := todo[len(todo)-1]
 		todo = todo[:len(todo)-1]
-		adj := g.slots[n].out
+		adj := g.at(n).out
 		if !outgoing {
-			adj = g.slots[n].in
+			adj = g.at(n).in
 		}
 		for _, h := range adj {
 			if _, dup := seen[h.to]; dup {
 				continue
 			}
 			seen[h.to] = struct{}{}
-			out = append(out, g.slots[h.to].id)
+			out = append(out, g.at(h.to).id)
 			todo = append(todo, h.to)
 		}
 	}
@@ -475,7 +481,7 @@ func (g *Graph) Agents(id string) ([]string, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	for _, n := range anc {
-		if i, ok := g.index[n]; ok && g.slots[i].kind == NodeAgent {
+		if i, ok := g.index[n]; ok && g.at(i).kind == NodeAgent {
 			if _, dup := seen[n]; !dup {
 				seen[n] = struct{}{}
 				out = append(out, n)

@@ -150,8 +150,8 @@ func TestGraphMatchesReferenceModel(t *testing.T) {
 			}
 		}
 		checkExports(t, fmt.Sprintf("seed %d", seed), g, m)
-		if len(g.slots) > len(pool) {
-			t.Fatalf("seed %d: node table grew to %d slots for %d distinct IDs", seed, len(g.slots), len(pool))
+		if g.slots.Len() > len(pool) {
+			t.Fatalf("seed %d: node table grew to %d slots for %d distinct IDs", seed, g.slots.Len(), len(pool))
 		}
 	}
 }
@@ -328,8 +328,8 @@ func TestGraphSlotReuseUnderErasureChurn(t *testing.T) {
 	if nodes, _ := g.Len(); nodes != 6 {
 		t.Fatalf("live nodes = %d, want 6", nodes)
 	}
-	if len(g.slots) > 6+batch {
-		t.Fatalf("node table grew to %d slots under churn; want <= %d", len(g.slots), 6+batch)
+	if g.slots.Len() > 6+batch {
+		t.Fatalf("node table grew to %d slots under churn; want <= %d", g.slots.Len(), 6+batch)
 	}
 	if dot := g.DOT(); strings.Contains(dot, "/hr/") {
 		t.Fatalf("erased data still in DOT:\n%s", dot)

@@ -1,9 +1,10 @@
 package audit
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +55,12 @@ var (
 //
 // The zero value is ready to use (one staging lane).
 type Log struct {
-	mu      sync.Mutex
-	records []Record
-	// firstSeq is the sequence number of records[0]; it advances on prune.
+	mu sync.Mutex
+	// records is the retained chain, in fixed chunks: a commit never
+	// copies earlier records, and Prune releases whole chunks.
+	records chunkSeq[Record]
+	// firstSeq is the sequence number of records.At(0); it advances on
+	// prune.
 	firstSeq uint64
 	nextSeq  uint64
 	// lastHash is the hash of the most recent record (or the pruned
@@ -86,6 +90,10 @@ type Log struct {
 	// started on demand and exits when every lane empties, so idle logs
 	// hold no background resources.
 	draining atomic.Bool
+	// batch is the hasher's merge buffer, kept here because the hasher
+	// exits whenever the lanes empty; only the goroutine holding draining
+	// touches it.
+	batch []staged
 	// flushMu guards completed; Flush waits on the watermark — completed
 	// catching up with tickets-issued-as-of-the-call — not on full
 	// quiescence, so it stays bounded under sustained ingest.
@@ -129,6 +137,13 @@ func (ln *stageLane) condLocked() *sync.Cond {
 // maxPending bounds each staging lane; enqueueing beyond it blocks until
 // the hasher catches up (backpressure rather than unbounded memory).
 const maxPending = 4096
+
+// maxKeptBuf bounds the capacity of an idle staging buffer (lane or
+// hasher batch). Buffers are cleared and reused after every drain, so a
+// busy lane does not regrow from empty each time; but a buffer a burst
+// grew past maxKeptBuf is dropped the first time the hasher finds it
+// empty, so one burst cannot pin lanes x maxPending records for good.
+const maxKeptBuf = 1024
 
 // NewLog builds an empty log. A nil clock means time.Now.
 func NewLog(clock func() time.Time) *Log {
@@ -322,26 +337,47 @@ func (l *Log) flushCondLocked() *sync.Cond {
 	return l.flushCond
 }
 
-// collectStaged swaps out every lane's staged buffer, wakes producers
-// blocked on lane backpressure, and returns the batch merged into
-// arrival-ticket order — the order the chain will record.
+// collectStaged moves staged records into the hasher's batch buffer,
+// wakes producers blocked on lane backpressure, and returns the batch
+// merged into arrival-ticket order — the order the chain will record.
+// Each lane keeps its buffer, cleared so it holds no copy of a record,
+// unless the lane was already empty and the buffer is oversized.
+//
+// Only records ticketed before the pass starts are taken. Each of them
+// was staged under its lane's lock in the same critical section that
+// issued its ticket, so all are in the lanes by the time the pass locks
+// them; later tickets wait for the next pass. A batch is therefore every
+// ticket up to the one read here, with no gaps: a producer that spreads
+// its records over several lanes still sees them committed in its
+// program order, and the Flush watermark never counts a later record in
+// place of an earlier one still staged.
 func (l *Log) collectStaged() []staged {
 	lanes := *l.getLanes()
-	var batch []staged
+	upto := l.tickets.Load()
+	batch := l.batch[:0]
 	for i := range lanes {
 		ln := &lanes[i]
 		ln.mu.Lock()
-		if len(ln.buf) > 0 {
-			batch = append(batch, ln.buf...)
-			ln.buf = nil
+		k := len(ln.buf)
+		for k > 0 && ln.buf[k-1].ticket > upto {
+			k--
+		}
+		switch {
+		case k > 0:
+			batch = append(batch, ln.buf[:k]...)
+			rest := copy(ln.buf, ln.buf[k:])
+			clear(ln.buf[rest:])
+			ln.buf = ln.buf[:rest]
 			ln.condLocked().Broadcast() // release writers blocked on backpressure
+		case len(ln.buf) == 0 && cap(ln.buf) > maxKeptBuf:
+			ln.buf = nil // the burst that grew it is over
 		}
 		ln.mu.Unlock()
 	}
 	// Each lane's contribution is already ticket-sorted (tickets are taken
-	// under the lane lock), so this is a k-way merge; sort.Slice keeps it
+	// under the lane lock), so this is a k-way merge; a sort keeps it
 	// simple and the batch is bounded by lanes x maxPending.
-	sort.Slice(batch, func(i, j int) bool { return batch[i].ticket < batch[j].ticket })
+	slices.SortFunc(batch, func(a, b staged) int { return cmp.Compare(a.ticket, b.ticket) })
 	return batch
 }
 
@@ -368,6 +404,9 @@ func (l *Log) drain() {
 	for {
 		batch := l.collectStaged()
 		if len(batch) == 0 {
+			if cap(batch) > maxKeptBuf {
+				l.batch = nil
+			}
 			l.draining.Store(false)
 			// A producer may have staged between the collect and the flag
 			// store; re-arm and keep draining if we win the flag back.
@@ -398,6 +437,8 @@ func (l *Log) drain() {
 			}
 		}
 		l.sinkMu.Unlock()
+		clear(batch) // keep no copy of a record once it is committed
+		l.batch = batch[:0]
 
 		l.flushMu.Lock()
 		l.completed += uint64(len(batch))
@@ -411,7 +452,7 @@ func (l *Log) commitLocked(r *Record) {
 	r.Seq = l.nextSeq
 	r.PrevHash = l.lastHash
 	r.Hash = computeHash(r)
-	l.records = append(l.records, *r)
+	l.records.Append(*r)
 	l.nextSeq++
 	l.lastHash = r.Hash
 }
@@ -427,7 +468,7 @@ func (l *Log) Restore(nextSeq uint64, lastHash [32]byte) error {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.nextSeq != 0 || len(l.records) != 0 {
+	if l.nextSeq != 0 || l.records.Len() != 0 {
 		return errors.New("audit: Restore on a log that already has records")
 	}
 	l.firstSeq = nextSeq
@@ -452,7 +493,7 @@ func (l *Log) Len() int {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return l.records.Len()
 }
 
 // HeadHash returns the hash of the latest record.
@@ -472,10 +513,10 @@ func (l *Log) Get(seq uint64) (Record, error) {
 		return Record{}, fmt.Errorf("%w: seq %d < first retained %d", ErrPruned, seq, l.firstSeq)
 	}
 	idx := seq - l.firstSeq
-	if idx >= uint64(len(l.records)) {
+	if idx >= uint64(l.records.Len()) {
 		return Record{}, fmt.Errorf("audit: seq %d beyond head %d", seq, l.nextSeq)
 	}
-	return l.records[idx], nil
+	return *l.records.At(int(idx)), nil
 }
 
 // Select returns a copy of all retained records matching the filter; a nil
@@ -484,10 +525,11 @@ func (l *Log) Select(filter func(Record) bool) []Record {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, 0, len(l.records))
-	for _, r := range l.records {
-		if filter == nil || filter(r) {
-			out = append(out, r)
+	n := l.records.Len()
+	out := make([]Record, 0, n)
+	for i := 0; i < n; i++ {
+		if r := l.records.At(i); filter == nil || filter(*r) {
+			out = append(out, *r)
 		}
 	}
 	return out
@@ -503,8 +545,8 @@ func (l *Log) Verify() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	prev := [32]byte{}
-	for i := range l.records {
-		r := l.records[i]
+	for i := 0; i < l.records.Len(); i++ {
+		r := l.records.At(i)
 		if i == 0 {
 			prev = r.PrevHash // trust the checkpoint after pruning
 		}
@@ -515,10 +557,10 @@ func (l *Log) Verify() (int64, error) {
 			// A tombstone must actually be one: payload fields zeroed. The
 			// flag exempts a record from the content-hash check, so any
 			// surviving payload under it is a forgery, not an erasure.
-			if !ValidTombstone(&r) {
+			if !ValidTombstone(r) {
 				return int64(r.Seq), fmt.Errorf("%w: record %d marked redacted but carries payload", ErrChainBroken, r.Seq)
 			}
-		} else if computeHash(&r) != r.Hash {
+		} else if computeHash(r) != r.Hash {
 			return int64(r.Seq), fmt.Errorf("%w: record %d content hash mismatch", ErrChainBroken, r.Seq)
 		}
 		prev = r.Hash
@@ -539,11 +581,11 @@ func (l *Log) Redact(seq uint64, note string) error {
 		return fmt.Errorf("%w: seq %d < first retained %d", ErrPruned, seq, l.firstSeq)
 	}
 	idx := seq - l.firstSeq
-	if idx >= uint64(len(l.records)) {
+	if idx >= uint64(l.records.Len()) {
 		return fmt.Errorf("audit: seq %d beyond head %d", seq, l.nextSeq)
 	}
-	if !l.records[idx].Redacted {
-		l.records[idx] = l.records[idx].Redact(note)
+	if r := l.records.At(int(idx)); !r.Redacted {
+		*r = r.Redact(note)
 	}
 	return nil
 }
@@ -563,11 +605,11 @@ func (l *Log) RedactMany(seqs []uint64, note string) int {
 			continue
 		}
 		idx := seq - l.firstSeq
-		if idx >= uint64(len(l.records)) {
+		if idx >= uint64(l.records.Len()) {
 			continue
 		}
-		if !l.records[idx].Redacted {
-			l.records[idx] = l.records[idx].Redact(note)
+		if r := l.records.At(int(idx)); !r.Redacted {
+			*r = r.Redact(note)
 			n++
 		}
 	}
@@ -576,7 +618,9 @@ func (l *Log) RedactMany(seqs []uint64, note string) int {
 
 // Prune discards records with Seq < upto, returning the discarded segment
 // for offload. The chain head remains verifiable because the first retained
-// record still carries the hash of the last pruned one.
+// record still carries the hash of the last pruned one. The log keeps no
+// copy of a pruned record: whole chunks are released and the pruned slots
+// of a chunk still in use are zeroed.
 func (l *Log) Prune(upto uint64) []Record {
 	l.Flush()
 	l.mu.Lock()
@@ -587,10 +631,11 @@ func (l *Log) Prune(upto uint64) []Record {
 	if upto > l.nextSeq {
 		upto = l.nextSeq
 	}
-	n := upto - l.firstSeq
-	segment := make([]Record, n)
-	copy(segment, l.records[:n])
-	l.records = append([]Record(nil), l.records[n:]...)
+	segment := make([]Record, upto-l.firstSeq)
+	for i := range segment {
+		segment[i] = *l.records.At(i)
+	}
+	l.records.DropFront(len(segment))
 	l.firstSeq = upto
 	return segment
 }

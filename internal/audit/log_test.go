@@ -57,7 +57,7 @@ func TestLogDetectsTampering(t *testing.T) {
 	}
 	// Reach into the log and modify a record (simulated attacker).
 	l.mu.Lock()
-	l.records[4].Note = "doctored"
+	l.records.At(4).Note = "doctored"
 	l.mu.Unlock()
 
 	bad, err := l.Verify()
@@ -80,9 +80,9 @@ func TestLogDetectsRelink(t *testing.T) {
 	forged := flowRecord("x", "y", true)
 	forged.Seq = 2
 	forged.Time = time.Unix(1, 0)
-	forged.PrevHash = l.records[1].Hash
+	forged.PrevHash = l.records.At(1).Hash
 	forged.Hash = computeHash(&forged)
-	l.records[2] = forged
+	*l.records.At(2) = forged
 	l.mu.Unlock()
 
 	bad, err := l.Verify()

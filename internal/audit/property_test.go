@@ -40,7 +40,7 @@ func TestPropertyChainDetectsAnyMutation(t *testing.T) {
 		}
 		victim := int(victimRaw) % n
 		l.mu.Lock()
-		rec := &l.records[victim]
+		rec := l.records.At(victim)
 		switch fieldRaw % 5 {
 		case 0:
 			rec.Note += "!"

@@ -11,15 +11,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"sync"
 	"time"
 
 	"lciot/internal/ifc"
 )
 
-// EventKind classifies audit records.
-type EventKind int
+// EventKind classifies audit records. It is one byte, as in the hash
+// preimage and the binary codec.
+type EventKind uint8
 
 // Event kinds. FlowDenied records are as important as FlowAllowed ones: the
 // paper stresses recording "all attempted and permitted flows".
@@ -76,8 +76,9 @@ func (k EventKind) String() string {
 }
 
 // Layer identifies which enforcement level produced a record (Fig. 9/10:
-// kernel vs messaging substrate vs middleware policy plane).
-type Layer int
+// kernel vs messaging substrate vs middleware policy plane). It is one
+// byte, as in the hash preimage and the binary codec.
+type Layer uint8
 
 // Enforcement layers.
 const (
@@ -110,6 +111,14 @@ type Record struct {
 	Kind EventKind `json:"kind"`
 	// Layer is the enforcement level that produced the record.
 	Layer Layer `json:"layer"`
+	// Redacted marks a chain-preserving tombstone: the record's payload
+	// fields were zeroed by an erasure obligation while Seq, PrevHash and
+	// the *original* Hash survive, so the chain still links through it.
+	// A tombstone's content hash is unverifiable by construction — that is
+	// the point — so verifiers check linkage only. Redacted is not part of
+	// the hash preimage (the original hash predates the redaction). It
+	// sits next to the one-byte Kind and Layer so the three share a word.
+	Redacted bool `json:"redacted,omitempty"`
 	// Domain is the administrative domain of the enforcement point.
 	Domain string `json:"domain,omitempty"`
 	// Src and Dst identify the entities on either side of a flow; for
@@ -131,14 +140,6 @@ type Record struct {
 	// enforcement record with the performance spans in internal/telemetry:
 	// the same 128-bit ID appears at every node a traced message crossed.
 	TraceID string `json:"trace_id,omitempty"`
-
-	// Redacted marks a chain-preserving tombstone: the record's payload
-	// fields were zeroed by an erasure obligation while Seq, PrevHash and
-	// the *original* Hash survive, so the chain still links through it.
-	// A tombstone's content hash is unverifiable by construction — that is
-	// the point — so verifiers check linkage only. Redacted is not part of
-	// the hash preimage (the original hash predates the redaction).
-	Redacted bool `json:"redacted,omitempty"`
 
 	// PrevHash chains this record to its predecessor; Hash covers the whole
 	// record including PrevHash, making any retrospective edit detectable.
@@ -168,21 +169,21 @@ func ValidTombstone(r *Record) bool {
 		r.TraceID == "" && r.SrcCtx.IsPublic() && r.DstCtx.IsPublic()
 }
 
-// hashScratch bundles a reusable SHA-256 state with a reusable encoding
-// buffer: audit ingest is a hot path, and a fresh hash.Hash plus per-field
-// byte conversions would allocate on every record.
+// hashScratch is a reusable preimage buffer: audit ingest is a hot path,
+// and per-record byte conversions would allocate on every record.
 type hashScratch struct {
-	h   hash.Hash
 	buf []byte
 }
 
 var hasherPool = sync.Pool{
-	New: func() any { return &hashScratch{h: sha256.New(), buf: make([]byte, 0, 512)} },
+	New: func() any { return &hashScratch{buf: make([]byte, 0, 512)} },
 }
 
 // computeHash derives the record's chained hash. Labels are interned with
 // their canonical strings (package ifc), so the context fields hash without
-// re-rendering; the whole computation is allocation-free in steady state.
+// re-rendering; the whole computation is allocation-free in steady state
+// (sha256.Sum256 keeps its state and digest on the stack, where a
+// hash.Hash's Sum would move the digest to the heap).
 //
 // The hash preimage layout is an internal detail of this package version:
 // chains and exported segments verify against the code that produced them,
@@ -208,10 +209,7 @@ func computeHash(r *Record) [32]byte {
 		b = append(b, f...)
 	}
 	b = append(b, r.PrevHash[:]...)
-	s.h.Reset()
-	s.h.Write(b)
-	var out [32]byte
-	s.h.Sum(out[:0])
+	out := sha256.Sum256(b)
 	s.buf = b
 	hasherPool.Put(s)
 	return out

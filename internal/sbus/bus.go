@@ -208,6 +208,9 @@ type Bus struct {
 	// lock-free.
 	linkMu sync.Mutex
 	links  atomic.Pointer[map[string]*link]
+	// linkLoops counts the running writer and supervisor loops of every
+	// link started on this bus; Close waits for it to reach zero.
+	linkLoops sync.WaitGroup
 
 	// admission, when non-nil, is consulted with the advertised security
 	// context of every cross-bus ingress (connect and message): federated
@@ -794,7 +797,7 @@ func (b *Bus) publish(c *Component, endpoint string, m *msg.Message) (int, error
 	delivered := 0
 	for _, ch := range outs {
 		if ch.remoteBus != "" {
-			if err := b.sendRemote(c, ep, ch.remoteBus, ch.remoteDst, m); err == nil {
+			if err := b.sendRemote(c, ep, ch, m); err == nil {
 				delivered++
 			}
 			continue

@@ -224,8 +224,10 @@ type link struct {
 	// the link shuts down so callers fail fast instead of timing out.
 	pending map[uint64]chan LinkFrame
 	// ingress records remotely-established channels into this bus:
-	// key = {remote src full addr, local dst}.
-	ingress    map[channelKey]struct{}
+	// key = {remote src full addr, local dst}, value = the source address,
+	// which records of the channel's messages share instead of keeping
+	// each frame's decoded copy.
+	ingress    map[channelKey]string
 	reconnects uint64
 
 	// highWater tracks the deepest the send queue has been — the overload
@@ -268,7 +270,7 @@ func (b *Bus) newLink(peer string, network transport.Network, addr string) *link
 		done:    make(chan struct{}),
 		state:   LinkReconnecting,
 		pending: make(map[uint64]chan LinkFrame),
-		ingress: make(map[channelKey]struct{}),
+		ingress: make(map[channelKey]string),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	reg := telemetry.Default()
@@ -344,9 +346,9 @@ func (b *Bus) LinkTo(network transport.Network, addr string) (string, error) {
 	// frames must never get ahead of the connect handshakes.
 	l.replayEgress(conn)
 	l.setConn(conn)
-	b.addLink(l)
-	go l.writeLoop()
-	go l.supervise(conn)
+	if !b.addLink(l, conn) {
+		return "", fmt.Errorf("%w: bus %q is closed", ErrLinkDown, b.name)
+	}
 	return peer, nil
 }
 
@@ -385,9 +387,9 @@ func (b *Bus) ServeLink(conn transport.Conn) error {
 	// fresh inbound link before it becomes routable.
 	l.replayEgress(conn)
 	l.setConn(conn)
-	b.addLink(l)
-	go l.writeLoop()
-	go l.supervise(conn)
+	if !b.addLink(l, conn) {
+		return fmt.Errorf("%w: bus %q is closed", ErrLinkDown, b.name)
+	}
 	return nil
 }
 
@@ -411,11 +413,18 @@ func (b *Bus) Serve(listener transport.Listener) {
 	}
 }
 
-// addLink publishes a link, replacing any prior link to the same peer. The
-// replaced link is shut down: its pending requests fail immediately with
-// ErrLinkDown rather than waiting out their timeouts.
-func (b *Bus) addLink(l *link) {
+// addLink publishes a link and starts its loops on conn, replacing any
+// prior link to the same peer. The replaced link is shut down: its pending
+// requests fail immediately with ErrLinkDown rather than waiting out their
+// timeouts. On a closed bus the link is shut down at once and addLink
+// reports false.
+func (b *Bus) addLink(l *link, conn transport.Conn) bool {
 	b.linkMu.Lock()
+	if b.closed.Load() {
+		b.linkMu.Unlock()
+		l.shutdown()
+		return false
+	}
 	cur := *b.links.Load()
 	old := cur[l.peer]
 	next := make(map[string]*link, len(cur)+1)
@@ -424,6 +433,7 @@ func (b *Bus) addLink(l *link) {
 	}
 	next[l.peer] = l
 	b.links.Store(&next)
+	l.start(conn)
 	b.linkMu.Unlock()
 	if old != nil {
 		old.shutdown()
@@ -432,6 +442,40 @@ func (b *Bus) addLink(l *link) {
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Dst: ifc.EntityID(l.peer), Note: "link established to peer bus",
 	})
+	return true
+}
+
+// start runs the link's writer and its supervisor (which runs the read
+// loop) on conn. Both are counted on the bus's linkLoops group, which
+// Close waits on; the caller holds b.linkMu and has checked that the bus
+// is open, so no loop starts after Close began waiting.
+func (l *link) start(conn transport.Conn) {
+	wg := &l.bus.linkLoops
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		l.writeLoop()
+	}()
+	go func() {
+		defer wg.Done()
+		l.supervise(conn)
+	}()
+}
+
+// closeLinks shuts down every live link, then waits until the loops of
+// every link this bus ever started have returned, including links already
+// retired or replaced. All links are shut down before any is waited for:
+// a link's reader may be delivering a message that a handler re-publishes
+// onto another link, and only that link's shutdown releases the enqueue.
+// b.closed must already be set, so addLink starts no more loops.
+func (b *Bus) closeLinks() {
+	b.linkMu.Lock()
+	live := *b.links.Load()
+	b.linkMu.Unlock()
+	for _, l := range live {
+		l.shutdown()
+	}
+	b.linkLoops.Wait()
 }
 
 // removeLink retires a dead link: it is dropped from routing (unless a
@@ -974,9 +1018,11 @@ func (b *Bus) connectRemote(by ifc.PrincipalID, srcComp *Component, srcEP Endpoi
 // the message with the source's *current* security context; the receiver
 // enforces against it. The frame — header fields and the message's binary
 // payload — is encoded in one pass into a single buffer that the writer
-// goroutine takes ownership of.
-func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, remoteBus, remoteDst string, m *msg.Message) error {
-	l, err := b.linkFor(remoteBus)
+// goroutine takes ownership of. The egress record and span name the sink
+// by the channel's own "bus:component.endpoint" string, so no per-message
+// copy of it is made or kept.
+func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, ch *channel, m *msg.Message) error {
+	l, err := b.linkFor(ch.remoteBus)
 	if err != nil {
 		return err
 	}
@@ -990,7 +1036,7 @@ func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, remoteBus, remo
 	f := LinkFrame{
 		Kind:            "message",
 		Src:             b.name + ":" + srcComp.Name() + "." + srcEP.Name,
-		Dst:             remoteDst,
+		Dst:             ch.remoteDst,
 		SrcSecrecy:      ctx.Secrecy,
 		SrcIntegrity:    ctx.Integrity,
 		SrcJurisdiction: ctx.Jurisdiction,
@@ -1012,11 +1058,11 @@ func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, remoteBus, remo
 		return err
 	}
 	if !m.Trace.IsZero() { // guard: skip the dst formatting for untraced flows
-		telemetry.RecordSpan(m.Trace, b.name, "egress", f.Src, remoteBus+":"+remoteDst, "")
+		telemetry.RecordSpan(m.Trace, b.name, "egress", f.Src, ch.key.dst, "")
 	}
 	b.log.AppendAsync(audit.Record{
 		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging, Domain: b.name,
-		Src: srcComp.entity.ID(), Dst: ifc.EntityID(remoteBus + ":" + remoteDst),
+		Src: srcComp.entity.ID(), Dst: ifc.EntityID(ch.key.dst),
 		SrcCtx: ctx, DataID: m.DataID, Agent: srcComp.principal,
 		Note: "egress to peer bus", TraceID: m.Trace.ID.String(),
 	})
@@ -1142,7 +1188,7 @@ func (l *link) acceptIngress(f LinkFrame) error {
 		return err
 	}
 	l.mu.Lock()
-	l.ingress[channelKey{src: f.Src, dst: f.Dst}] = struct{}{}
+	l.ingress[channelKey{src: f.Src, dst: f.Dst}] = f.Src
 	l.mu.Unlock()
 	b.log.Append(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
@@ -1157,7 +1203,7 @@ func (l *link) acceptIngress(f LinkFrame) error {
 func (l *link) deliverIngress(f LinkFrame) {
 	b := l.bus
 	l.mu.Lock()
-	_, established := l.ingress[channelKey{src: f.Src, dst: f.Dst}]
+	src, established := l.ingress[channelKey{src: f.Src, dst: f.Dst}]
 	l.mu.Unlock()
 
 	// A traced frame continues its trace here, one hop deeper: the hop
@@ -1183,6 +1229,9 @@ func (l *link) deliverIngress(f LinkFrame) {
 			f.Agent, "", "ingress denied: no established channel")
 		return
 	}
+	// From here on, records and spans name the source by the channel's
+	// string, which outlives this frame.
+	f.Src = src
 	if dstComp.Quarantined() {
 		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstCtx,
 			f.Agent, "", "ingress denied: destination quarantined")

@@ -197,11 +197,14 @@ func (b *Bus) ShardStats() []ShardStats {
 }
 
 // Close stops the shard dispatchers after draining deliveries already
-// accepted onto the rings. Close is idempotent and only affects
-// cross-shard dispatch: the bus remains usable, with cross-shard
-// deliveries falling back to inline execution on the publisher's
-// goroutine (publishers observe the closed flag and never enqueue onto
-// an undrained ring). Links are shut down separately (Unlink/removeLink).
+// accepted onto the rings, then shuts down every federation link and
+// waits for all link loops to return. Close is idempotent. Local
+// delivery keeps working, with cross-shard deliveries falling back to
+// inline execution on the publisher's goroutine (publishers observe the
+// closed flag and never enqueue onto an undrained ring); sends to a peer
+// fail with ErrLinkDown, and no new link can be added. Close must not be
+// called from a handler of a message that arrived over a link, since it
+// waits for that link's reader.
 func (b *Bus) Close() {
 	b.closeOnce.Do(func() {
 		b.closed.Store(true)
@@ -217,6 +220,7 @@ func (b *Bus) Close() {
 		for _, sh := range b.shards {
 			sh.enqMu.Unlock()
 		}
+		b.closeLinks()
 	})
 }
 

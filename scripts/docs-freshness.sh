@@ -43,6 +43,8 @@ check '(re)?negotiates?([^a-z]|$)|version negotiation|truncates? (the |their |it
     'links speak one protocol version (v5); nothing negotiates versions or truncates trailers'
 check 'serves four surfaces' \
     'the operator surface has five endpoints: /metrics, /healthz, /traces, /lanes, pprof'
+check 'no call that stops a link|outlive Domain.Close' \
+    'Bus.Close shuts down every link and joins its writer and supervisor loops'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
