@@ -32,6 +32,10 @@ type labelRec struct {
 	ids  []uint32 // ids[i] is the intern ID of tags[i]
 	key  uint64   // unique per distinct label; 0 is reserved for the empty label
 	str  string   // canonical form "{a,b,c}", also the intern-table key
+	// valid reports whether every tag passes Tag.Validate. Labels built
+	// through With/Without skip validation, so a parse may return a record
+	// from the table only when it is valid.
+	valid bool
 }
 
 var interned = struct {
@@ -93,8 +97,38 @@ func internLabel(tags []Tag, ids []uint32) *labelRec {
 		}
 	}
 	interned.nextLabel++
-	rec = &labelRec{tags: tags, ids: ids, key: interned.nextLabel, str: str}
+	rec = &labelRec{tags: tags, ids: ids, key: interned.nextLabel, str: str, valid: true}
+	for _, t := range tags {
+		if !t.Valid() {
+			rec.valid = false
+			break
+		}
+	}
 	interned.labels[str] = rec
+	return rec
+}
+
+// lookupCanonical returns the interned, valid label whose canonical form is
+// exactly s, or nil. A hit costs no allocation.
+func lookupCanonical(s string) *labelRec {
+	interned.mu.RLock()
+	rec := interned.labels[s]
+	interned.mu.RUnlock()
+	if rec == nil || !rec.valid {
+		return nil
+	}
+	return rec
+}
+
+// lookupCanonicalBytes is lookupCanonical over a byte slice; indexing the
+// map with string(b) does not copy b.
+func lookupCanonicalBytes(b []byte) *labelRec {
+	interned.mu.RLock()
+	rec := interned.labels[string(b)]
+	interned.mu.RUnlock()
+	if rec == nil || !rec.valid {
+		return nil
+	}
 	return rec
 }
 

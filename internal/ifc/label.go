@@ -47,8 +47,13 @@ func MustLabel(tags ...Tag) Label {
 }
 
 // ParseLabel parses the canonical form produced by String, e.g.
-// "{medical,ann}". The empty set may be written "{}" or "∅".
+// "{medical,ann}". The empty set may be written "{}" or "∅". A canonical
+// form this process has already interned is resolved by one table lookup
+// and costs no allocation; any other spelling is split and interned.
 func ParseLabel(s string) (Label, error) {
+	if rec := lookupCanonical(s); rec != nil {
+		return Label{rec: rec}, nil
+	}
 	s = strings.TrimSpace(s)
 	if s == "∅" || s == "{}" {
 		return Label{}, nil
@@ -66,6 +71,19 @@ func ParseLabel(s string) (Label, error) {
 		tags = append(tags, Tag(p))
 	}
 	return NewLabel(tags...)
+}
+
+// ParseLabelBytes is ParseLabel over a byte slice, for decoders reading a
+// received buffer: an interned canonical form or the empty set costs no
+// allocation, and only a spelling never seen before is copied out.
+func ParseLabelBytes(b []byte) (Label, error) {
+	if string(b) == "∅" || string(b) == "{}" {
+		return Label{}, nil
+	}
+	if rec := lookupCanonicalBytes(b); rec != nil {
+		return Label{rec: rec}, nil
+	}
+	return ParseLabel(string(b))
 }
 
 // newLabelUnchecked sorts and deduplicates without validating tags.

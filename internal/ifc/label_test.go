@@ -268,3 +268,68 @@ func TestLabelTagsSorted(t *testing.T) {
 		t.Error("Tags() not sorted:", err)
 	}
 }
+
+func TestParseLabelInternedAllocs(t *testing.T) {
+	want := MustLabel("medical", "ann")
+	s := want.String()
+	b := []byte(s)
+	var got Label
+	if allocs := testing.AllocsPerRun(200, func() { got, _ = ParseLabel(s) }); allocs != 0 {
+		t.Fatalf("ParseLabel of an interned canonical form: %v allocs, want 0", allocs)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("ParseLabel(%q) = %v", s, got)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { got, _ = ParseLabelBytes(b) }); allocs != 0 {
+		t.Fatalf("ParseLabelBytes of an interned canonical form: %v allocs, want 0", allocs)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("ParseLabelBytes(%q) = %v", b, got)
+	}
+}
+
+func TestParseLabelNonCanonicalSpellings(t *testing.T) {
+	ab := MustLabel("a", "b")
+	for _, tt := range []struct {
+		in   string
+		want Label
+	}{
+		{"{b,a}", ab},
+		{"{a,b,a}", ab},
+		{" {a, b} ", ab},
+		{" {a} ", MustLabel("a")},
+		{"∅", EmptyLabel},
+		{"{}", EmptyLabel},
+		{" ∅ ", EmptyLabel},
+	} {
+		got, err := ParseLabel(tt.in)
+		if err != nil || !got.Equal(tt.want) {
+			t.Fatalf("ParseLabel(%q) = %v, %v; want %v", tt.in, got, err, tt.want)
+		}
+		got, err = ParseLabelBytes([]byte(tt.in))
+		if err != nil || !got.Equal(tt.want) {
+			t.Fatalf("ParseLabelBytes(%q) = %v, %v; want %v", tt.in, got, err, tt.want)
+		}
+	}
+}
+
+func TestParseLabelRejectsInvalidTags(t *testing.T) {
+	// Never interned anywhere.
+	for _, in := range []string{"{never seen}", "{ok,x\ty}", "{a", "a}"} {
+		if _, err := ParseLabel(in); err == nil {
+			t.Fatalf("ParseLabel(%q) accepted", in)
+		}
+		if _, err := ParseLabelBytes([]byte(in)); err == nil {
+			t.Fatalf("ParseLabelBytes(%q) accepted", in)
+		}
+	}
+	// With does not validate, so an invalid tag can reach the intern
+	// table; parsing its canonical form must still reject it.
+	bad := EmptyLabel.With("has space")
+	if _, err := ParseLabel(bad.String()); err == nil {
+		t.Fatalf("ParseLabel(%q) accepted an interned invalid label", bad.String())
+	}
+	if _, err := ParseLabelBytes([]byte(bad.String())); err == nil {
+		t.Fatalf("ParseLabelBytes(%q) accepted an interned invalid label", bad.String())
+	}
+}

@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -60,7 +60,7 @@ func sortedFieldNames(dst []string, m *Message) []string {
 	for k := range m.Attrs {
 		dst = append(dst, k)
 	}
-	sort.Strings(dst)
+	slices.Sort(dst)
 	return dst
 }
 
@@ -264,13 +264,19 @@ func DecodeJSON(data []byte) (*Message, error) {
 // name so the encoding is canonical.
 
 // AppendBinary appends the compact binary form of m to dst and returns the
-// extended slice, using the caller-supplied (possibly nil) names scratch
-// for field sorting. Callers owning a reusable buffer encode with zero
-// amortised allocations; EncodeBinary wraps this with a pooled scratch.
+// extended slice. Field names are sorted in a stack array (a heap slice
+// only past stackNames attributes), so a caller owning a reusable buffer
+// encodes with zero allocations; EncodeBinary wraps this with a pooled
+// scratch.
 func AppendBinary(dst []byte, m *Message) ([]byte, error) {
-	buf, _, err := appendBinary(dst, nil, m)
+	var names [stackNames]string
+	buf, _, err := appendBinary(dst, names[:0], m)
 	return buf, err
 }
+
+// stackNames is how many attribute names AppendBinary sorts without a heap
+// slice.
+const stackNames = 16
 
 func appendBinary(buf []byte, names []string, m *Message) ([]byte, []string, error) {
 	names = sortedFieldNames(names, m)
@@ -322,8 +328,29 @@ func EncodeBinary(m *Message) ([]byte, error) {
 
 // DecodeBinary parses the compact binary form.
 func DecodeBinary(data []byte) (*Message, error) {
+	return decodeBinary(data, nil)
+}
+
+// DecodeBinary parses the compact binary form of a message expected to be
+// of this schema. The type name and every attribute name the schema
+// declares are taken from the schema's own strings rather than copied out
+// of data, so a conforming message costs only what it must own: the
+// Message, its map, the DataID and string or bytes values. A payload that
+// does not match the schema decodes to the same message DecodeBinary
+// returns; validating it is the caller's business.
+func (s *Schema) DecodeBinary(data []byte) (*Message, error) {
+	return decodeBinary(data, s)
+}
+
+// minAttrLen is the encoded size of the smallest attribute: an empty name,
+// the type byte and a one-byte bool.
+const minAttrLen = 2 + 1 + 1
+
+// decodeBinary is the one binary decoder; s, when non-nil, supplies the
+// strings for names it declares. The returned message never aliases data.
+func decodeBinary(data []byte, s *Schema) (*Message, error) {
 	d := &decoder{buf: data}
-	typ, err := d.string16()
+	typ, err := d.bytes16()
 	if err != nil {
 		return nil, err
 	}
@@ -335,11 +362,29 @@ func DecodeBinary(data []byte) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Message{Type: typ, DataID: dataID, Attrs: make(map[string]Value, n)}
+	// n comes from the sender: size the map by what the rest of the
+	// payload can hold (an attribute takes at least minAttrLen bytes), not
+	// by the declared count alone.
+	hint := int(n)
+	if most := (len(d.buf) - d.off) / minAttrLen; hint > most {
+		hint = most
+	}
+	m := &Message{Attrs: make(map[string]Value, hint), DataID: dataID}
+	if s != nil && string(typ) == s.Name {
+		m.Type = s.Name
+	} else {
+		m.Type = string(typ)
+	}
 	for i := 0; i < int(n); i++ {
-		name, err := d.string16()
+		nb, err := d.bytes16()
 		if err != nil {
 			return nil, err
+		}
+		var name string
+		if j, ok := s.lookup(nb); ok {
+			name = s.Fields[j].Name
+		} else {
+			name = string(nb)
 		}
 		ft, err := d.byte()
 		if err != nil {
@@ -347,11 +392,11 @@ func DecodeBinary(data []byte) (*Message, error) {
 		}
 		switch FieldType(ft) {
 		case TString:
-			s, err := d.bytes32()
+			b, err := d.bytes32()
 			if err != nil {
 				return nil, err
 			}
-			m.Attrs[name] = Str(string(s))
+			m.Attrs[name] = Str(string(b))
 		case TFloat:
 			u, err := d.uint64()
 			if err != nil {
@@ -433,17 +478,23 @@ func (d *decoder) uint64() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) string16() (string, error) {
+// bytes16 returns the next u16-length-prefixed field, aliasing the buffer.
+func (d *decoder) bytes16() ([]byte, error) {
 	n, err := d.uint16()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := d.need(int(n)); err != nil {
-		return "", err
+		return nil, err
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s, nil
+	return b, nil
+}
+
+func (d *decoder) string16() (string, error) {
+	b, err := d.bytes16()
+	return string(b), err
 }
 
 func (d *decoder) bytes32() ([]byte, error) {

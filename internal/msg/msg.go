@@ -103,6 +103,16 @@ func MustSchema(name string, secrecy ifc.Label, fields ...Field) *Schema {
 	return s
 }
 
+// lookup returns the index of the field named by b; a nil schema declares
+// nothing. Indexing the map with string(b) does not copy b.
+func (s *Schema) lookup(b []byte) (int, bool) {
+	if s == nil {
+		return 0, false
+	}
+	i, ok := s.index[string(b)]
+	return i, ok
+}
+
 // Field returns the named field definition.
 func (s *Schema) Field(name string) (Field, bool) {
 	i, ok := s.index[name]
@@ -268,20 +278,27 @@ func (s *Schema) Validate(m *Message) error {
 // fails validation, which is exactly the intent — it must not see the
 // message at all.
 func (s *Schema) Quench(m *Message, clearance ifc.Label) (*Message, []string) {
-	var quenched []string
 	out := m.Clone()
-	for name := range out.Attrs {
+	return out, s.QuenchInPlace(out, clearance)
+}
+
+// QuenchInPlace is Quench on a message the caller owns outright (one just
+// decoded, say): the attributes are removed from m itself, and the sorted
+// names of the quenched attributes are returned.
+func (s *Schema) QuenchInPlace(m *Message, clearance ifc.Label) []string {
+	var quenched []string
+	for name := range m.Attrs {
 		f, ok := s.Field(name)
 		if !ok {
 			continue // Validate catches this separately
 		}
 		if !f.Secrecy.Subset(clearance) {
-			delete(out.Attrs, name)
+			delete(m.Attrs, name)
 			quenched = append(quenched, name)
 		}
 	}
 	sort.Strings(quenched)
-	return out, quenched
+	return quenched
 }
 
 // A Registry holds schemas by name. The zero value is unusable; use

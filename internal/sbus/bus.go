@@ -13,6 +13,7 @@ import (
 	"lciot/internal/ifc"
 	"lciot/internal/msg"
 	"lciot/internal/telemetry"
+	"lciot/internal/transport"
 )
 
 // A channelKey identifies a channel by its fully-qualified endpoints.
@@ -36,6 +37,10 @@ type channel struct {
 	remoteDst string
 	srcEP     EndpointSpec
 	agent     ifc.PrincipalID
+	// wireSrc is the source's address as the peer knows it,
+	// "bus:component.endpoint": the Src of the channel's connect and
+	// message frames.
+	wireSrc string
 	// dstComp/dstEP are set for local sinks.
 	dstComp *Component
 	dstEP   EndpointSpec
@@ -209,8 +214,12 @@ type Bus struct {
 	linkMu sync.Mutex
 	links  atomic.Pointer[map[string]*link]
 	// linkLoops counts the running writer and supervisor loops of every
-	// link started on this bus; Close waits for it to reach zero.
+	// link started on this bus, Serve's handshakes and replayEgress's
+	// connect-reply waiters; Close waits for it to reach zero.
 	linkLoops sync.WaitGroup
+	// handshakes holds the connections of Serve's in-flight handshakes,
+	// which Close closes (guarded by linkMu).
+	handshakes map[transport.Conn]struct{}
 
 	// admission, when non-nil, is consulted with the advertised security
 	// context of every cross-bus ingress (connect and message): federated

@@ -207,6 +207,10 @@ type link struct {
 
 	// sendQ carries encoded frames (no batch header) to the writer.
 	sendQ chan []byte
+	// free holds frame buffers the writer handed back after a successful
+	// send, for sendRemote to encode into; a buffer in a batch kept for
+	// retransmission is not handed back until that batch is sent.
+	free chan []byte
 	// done is closed on shutdown to release enqueuers and the writer.
 	done chan struct{}
 
@@ -222,13 +226,13 @@ type link struct {
 	peerJur ifc.Label
 	// pending maps request IDs to reply channels; closed (not replied) when
 	// the link shuts down so callers fail fast instead of timing out.
-	pending map[uint64]chan LinkFrame
-	// ingress records remotely-established channels into this bus:
-	// key = {remote src full addr, local dst}, value = the source address,
-	// which records of the channel's messages share instead of keeping
-	// each frame's decoded copy.
-	ingress    map[channelKey]string
+	pending    map[uint64]chan LinkFrame
 	reconnects uint64
+
+	// ingress records the channels the peer established into this bus.
+	// Only the read loop touches it (acceptIngress and deliverIngress run
+	// under supervise → readLoop → dispatch), so it needs no lock.
+	ingress ingressTable
 
 	// highWater tracks the deepest the send queue has been — the overload
 	// indicator operators watch (LinkStatus.QueueHighWater): a depth that
@@ -243,6 +247,24 @@ type link struct {
 	rxBytes     *telemetry.Counter
 	batchFrames *telemetry.Histogram
 	stageHop    *telemetry.Histogram
+}
+
+// An ingressTable maps the source and destination a peer named in an
+// accepted connect to the channel's entry. Lookups index with string(b),
+// so resolving a received message's fields costs no allocation.
+type ingressTable map[string]map[string]*ingressChan
+
+// ingressChan is one established ingress channel: the strings of its
+// connect frame, which the channel's messages and their audit records
+// share instead of each keeping its own copy.
+type ingressChan struct {
+	src, dst, schema string
+	agent            ifc.PrincipalID
+}
+
+// lookup returns the channel src → dst, or nil (also on a nil table).
+func (t ingressTable) lookup(src, dst []byte) *ingressChan {
+	return t[string(src)][string(dst)]
 }
 
 // noteDepth folds the current queue depth into the high-water mark; called
@@ -267,10 +289,11 @@ func (b *Bus) newLink(peer string, network transport.Network, addr string) *link
 		network: network,
 		addr:    addr,
 		sendQ:   make(chan []byte, cfg.QueueLen),
+		free:    make(chan []byte, cfg.QueueLen),
 		done:    make(chan struct{}),
 		state:   LinkReconnecting,
 		pending: make(map[uint64]chan LinkFrame),
-		ingress: make(map[channelKey]string),
+		ingress: make(ingressTable),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	reg := telemetry.Default()
@@ -395,22 +418,60 @@ func (b *Bus) ServeLink(conn transport.Conn) error {
 
 // Serve accepts link connections until the listener closes. Handshake
 // failures (version mismatches, malformed hellos) are audited; they never
-// stop the accept loop.
+// stop the accept loop. Each handshake runs on its own goroutine, which
+// Close joins: it closes the connection of every handshake still in flight,
+// so a peer that connects and never says hello cannot outlive the bus. A
+// connection accepted after Close is closed at once.
 func (b *Bus) Serve(listener transport.Listener) {
 	for {
 		conn, err := listener.Accept()
 		if err != nil {
 			return
 		}
-		go func() {
-			if err := b.ServeLink(conn); err != nil {
-				b.log.Append(audit.Record{
-					Kind: audit.FlowDenied, Layer: audit.LayerMessaging, Domain: b.name,
-					Note: "link handshake rejected: " + err.Error(),
-				})
-			}
-		}()
+		if !b.goLinked(func() { b.handshake(conn) }, conn) {
+			conn.Close()
+		}
 	}
+}
+
+// handshake runs ServeLink on one accepted connection.
+func (b *Bus) handshake(conn transport.Conn) {
+	err := b.ServeLink(conn)
+	b.linkMu.Lock()
+	delete(b.handshakes, conn)
+	b.linkMu.Unlock()
+	// A handshake cut short because the bus closed is not a peer's fault.
+	if err != nil && !b.closed.Load() {
+		b.log.Append(audit.Record{
+			Kind: audit.FlowDenied, Layer: audit.LayerMessaging, Domain: b.name,
+			Note: "link handshake rejected: " + err.Error(),
+		})
+	}
+}
+
+// goLinked runs fn on a goroutine counted on linkLoops, which Close waits
+// on, and reports false (running nothing) once the bus is closed. A
+// non-nil conn is registered as an in-flight handshake that Close closes.
+// The count is taken under linkMu with the closed check, so no goroutine
+// starts after Close began waiting.
+func (b *Bus) goLinked(fn func(), conn transport.Conn) bool {
+	b.linkMu.Lock()
+	defer b.linkMu.Unlock()
+	if b.closed.Load() {
+		return false
+	}
+	if conn != nil {
+		if b.handshakes == nil {
+			b.handshakes = make(map[transport.Conn]struct{})
+		}
+		b.handshakes[conn] = struct{}{}
+	}
+	b.linkLoops.Add(1)
+	go func() {
+		defer b.linkLoops.Done()
+		fn()
+	}()
+	return true
 }
 
 // addLink publishes a link and starts its loops on conn, replacing any
@@ -462,16 +523,25 @@ func (l *link) start(conn transport.Conn) {
 	}()
 }
 
-// closeLinks shuts down every live link, then waits until the loops of
-// every link this bus ever started have returned, including links already
-// retired or replaced. All links are shut down before any is waited for:
+// closeLinks closes the connection of every in-flight inbound handshake
+// and shuts down every live link, then waits until every goroutine counted
+// on linkLoops has returned: the loops of every link this bus ever started
+// (retired or replaced ones included), handshakes and connect-reply
+// waiters. All links are shut down before any is waited for:
 // a link's reader may be delivering a message that a handler re-publishes
 // onto another link, and only that link's shutdown releases the enqueue.
 // b.closed must already be set, so addLink starts no more loops.
 func (b *Bus) closeLinks() {
 	b.linkMu.Lock()
 	live := *b.links.Load()
+	var handshakes []transport.Conn
+	for conn := range b.handshakes {
+		handshakes = append(handshakes, conn)
+	}
 	b.linkMu.Unlock()
+	for _, conn := range handshakes {
+		conn.Close()
+	}
 	for _, l := range live {
 		l.shutdown()
 	}
@@ -654,6 +724,32 @@ func (l *link) enqueue(frame []byte) error {
 	}
 }
 
+// maxRecycledFrame bounds the capacity of a frame buffer kept on the free
+// list, so one huge message does not pin a large buffer for the link's life.
+const maxRecycledFrame = 64 << 10
+
+// frameBuf returns an empty buffer from the free list, or nil (append then
+// allocates) when the list is empty.
+func (l *link) frameBuf() []byte {
+	select {
+	case buf := <-l.free:
+		return buf
+	default:
+		return nil
+	}
+}
+
+// recycle puts a frame buffer nobody references any more on the free list.
+func (l *link) recycle(buf []byte) {
+	if cap(buf) > maxRecycledFrame {
+		return
+	}
+	select {
+	case l.free <- buf[:0]:
+	default:
+	}
+}
+
 // sendFrame encodes one frame and enqueues it.
 func (l *link) sendFrame(f *LinkFrame) error {
 	buf, err := AppendLinkFrame(nil, f)
@@ -740,6 +836,11 @@ func (l *link) writeLoop() {
 		}
 		l.txBytes.Add(uint64(len(buf)))
 		l.batchFrames.Observe(int64(len(batch)))
+		// Only now, with the batch on the wire, are its frame buffers free.
+		for i, f := range batch {
+			l.recycle(f)
+			batch[i] = nil
+		}
 		batch = batch[:0]
 	}
 }
@@ -849,7 +950,7 @@ func (l *link) replayEgress(conn transport.Conn) int {
 		ctx := ch.srcComp.Context()
 		f := LinkFrame{
 			Kind:            "connect",
-			Src:             b.name + ":" + ch.key.src,
+			Src:             ch.wireSrc,
 			Dst:             ch.remoteDst,
 			SrcSecrecy:      ctx.Secrecy,
 			SrcIntegrity:    ctx.Integrity,
@@ -912,14 +1013,17 @@ func (l *link) replayEgress(conn transport.Conn) int {
 		}
 	}
 	flush()
-	go func() {
-		defer func() {
-			l.mu.Lock()
-			for _, id := range ids {
-				delete(l.pending, id)
-			}
-			l.mu.Unlock()
-		}()
+	forget := func() {
+		l.mu.Lock()
+		for _, id := range ids {
+			delete(l.pending, id)
+		}
+		l.mu.Unlock()
+	}
+	// The reply waiter exits on the replies, the timeout or the link's
+	// shutdown; Close joins it (and shuts every link down).
+	if !b.goLinked(func() {
+		defer forget()
 		timeout := time.After(connectTimeout)
 		for _, w := range waiters {
 			select {
@@ -941,7 +1045,9 @@ func (l *link) replayEgress(conn transport.Conn) int {
 				return
 			}
 		}
-	}()
+	}, nil) {
+		forget()
+	}
 	return len(frames)
 }
 
@@ -983,9 +1089,10 @@ func (b *Bus) connectRemote(by ifc.PrincipalID, srcComp *Component, srcEP Endpoi
 	if err := b.checkEgressResidency(l, srcComp.entity.ID(), ctx, by, ""); err != nil {
 		return err
 	}
+	wireSrc := b.name + ":" + src
 	resp, err := l.request(LinkFrame{
 		Kind:            "connect",
-		Src:             b.name + ":" + src,
+		Src:             wireSrc,
 		Dst:             remoteDst,
 		SrcSecrecy:      ctx.Secrecy,
 		SrcIntegrity:    ctx.Integrity,
@@ -1003,7 +1110,7 @@ func (b *Bus) connectRemote(by ifc.PrincipalID, srcComp *Component, srcEP Endpoi
 	key := channelKey{src: src, dst: remoteBus + ":" + remoteDst}
 	ch := &channel{
 		key: key, srcComp: srcComp, srcEP: srcEP, agent: by,
-		remoteBus: remoteBus, remoteDst: remoteDst,
+		remoteBus: remoteBus, remoteDst: remoteDst, wireSrc: wireSrc,
 	}
 	b.installChannel(ch)
 	b.log.Append(audit.Record{
@@ -1017,10 +1124,10 @@ func (b *Bus) connectRemote(by ifc.PrincipalID, srcComp *Component, srcEP Endpoi
 // sendRemote ships one message down a cross-bus channel. The sender stamps
 // the message with the source's *current* security context; the receiver
 // enforces against it. The frame — header fields and the message's binary
-// payload — is encoded in one pass into a single buffer that the writer
-// goroutine takes ownership of. The egress record and span name the sink
-// by the channel's own "bus:component.endpoint" string, so no per-message
-// copy of it is made or kept.
+// payload — is encoded in one pass into a buffer from the link's free list,
+// which the writer goroutine takes ownership of and hands back once the
+// frame is sent. The frame and the egress record name both ends by the
+// channel's own strings, so no per-message copy of them is made or kept.
 func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, ch *channel, m *msg.Message) error {
 	l, err := b.linkFor(ch.remoteBus)
 	if err != nil {
@@ -1035,7 +1142,7 @@ func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, ch *channel, m 
 	}
 	f := LinkFrame{
 		Kind:            "message",
-		Src:             b.name + ":" + srcComp.Name() + "." + srcEP.Name,
+		Src:             ch.wireSrc,
 		Dst:             ch.remoteDst,
 		SrcSecrecy:      ctx.Secrecy,
 		SrcIntegrity:    ctx.Integrity,
@@ -1050,11 +1157,12 @@ func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, ch *channel, m 
 		// observe the link-hop edge and resume the stage clock.
 		f.EgressNs = uint64(time.Now().UnixNano())
 	}
-	buf, err := appendMessageFrame(nil, &f, m)
+	buf, err := appendMessageFrame(l.frameBuf(), &f, m)
 	if err != nil {
 		return err
 	}
 	if err := l.enqueue(buf); err != nil {
+		l.recycle(buf)
 		return err
 	}
 	if !m.Trace.IsZero() { // guard: skip the dst formatting for untraced flows
@@ -1105,6 +1213,7 @@ func (l *link) request(f LinkFrame) (LinkFrame, error) {
 
 // readLoop dispatches inbound frames until the connection dies.
 func (l *link) readLoop(conn transport.Conn) {
+	var frames []LinkFrame
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
@@ -1112,17 +1221,28 @@ func (l *link) readLoop(conn transport.Conn) {
 			return
 		}
 		l.rxBytes.Add(uint64(len(raw)))
-		frames, err := DecodeBatch(raw)
-		if err != nil {
+		if frames, err = l.receive(conn, raw, frames); err != nil {
 			// Mid-session garbage: drop the conn; the supervisor (or the
 			// peer) re-establishes a clean session.
 			l.noteConnDead(conn)
 			return
 		}
-		for i := range frames {
-			l.dispatch(conn, &frames[i])
-		}
 	}
+}
+
+// receive decodes one batch into frames (reusing its backing array) and
+// dispatches each frame. The frames alias raw only until receive returns:
+// they are cleared, so the next Recv does not keep this batch reachable.
+func (l *link) receive(conn transport.Conn, raw []byte, frames []LinkFrame) ([]LinkFrame, error) {
+	frames, err := decodeBatch(raw, frames, l.ingress)
+	if err != nil {
+		return nil, err
+	}
+	for i := range frames {
+		l.dispatch(conn, &frames[i])
+	}
+	clear(frames)
+	return frames, nil
 }
 
 // dispatch handles one inbound frame read from conn.
@@ -1139,7 +1259,7 @@ func (l *link) dispatch(conn transport.Conn, f *LinkFrame) {
 		l.mu.Unlock()
 	case "connect":
 		resp := LinkFrame{Kind: "result", ID: f.ID, OK: true}
-		if err := l.acceptIngress(*f); err != nil {
+		if err := l.acceptIngress(f); err != nil {
 			resp.OK = false
 			resp.Err = err.Error()
 		}
@@ -1154,14 +1274,14 @@ func (l *link) dispatch(conn transport.Conn, f *LinkFrame) {
 			}
 		}
 	case "message":
-		l.deliverIngress(*f)
+		l.deliverIngress(f)
 	}
 }
 
 // acceptIngress validates a remote connect request against the local sink:
 // schema compatibility and IFC from the advertised remote context into the
 // local component's context.
-func (l *link) acceptIngress(f LinkFrame) error {
+func (l *link) acceptIngress(f *LinkFrame) error {
 	b := l.bus
 	dstComp, dstEP, err := b.resolveLocal(f.Dst, Sink)
 	if err != nil {
@@ -1187,9 +1307,12 @@ func (l *link) acceptIngress(f LinkFrame) error {
 			f.Agent, "", "ingress connect denied by IFC: "+err.Error())
 		return err
 	}
-	l.mu.Lock()
-	l.ingress[channelKey{src: f.Src, dst: f.Dst}] = f.Src
-	l.mu.Unlock()
+	byDst := l.ingress[f.Src]
+	if byDst == nil {
+		byDst = make(map[string]*ingressChan)
+		l.ingress[f.Src] = byDst
+	}
+	byDst[f.Dst] = &ingressChan{src: f.Src, dst: f.Dst, schema: f.Schema, agent: f.Agent}
 	b.log.Append(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: ifc.EntityID(f.Src), Dst: dstComp.entity.ID(),
@@ -1199,12 +1322,12 @@ func (l *link) acceptIngress(f LinkFrame) error {
 	return nil
 }
 
-// deliverIngress enforces and delivers one inbound cross-bus message.
-func (l *link) deliverIngress(f LinkFrame) {
+// deliverIngress enforces and delivers one inbound cross-bus message. The
+// delivered message is decoded from f.Payload and owns all its memory, so
+// it is quenched in place.
+func (l *link) deliverIngress(f *LinkFrame) {
 	b := l.bus
-	l.mu.Lock()
-	src, established := l.ingress[channelKey{src: f.Src, dst: f.Dst}]
-	l.mu.Unlock()
+	established := l.ingress[f.Src][f.Dst] != nil
 
 	// A traced frame continues its trace here, one hop deeper: the hop
 	// counter increments at link ingress, so a two-link relay path reads
@@ -1229,9 +1352,8 @@ func (l *link) deliverIngress(f LinkFrame) {
 			f.Agent, "", "ingress denied: no established channel")
 		return
 	}
-	// From here on, records and spans name the source by the channel's
-	// string, which outlives this frame.
-	f.Src = src
+	// On an established channel the decoder already resolved f.Src and
+	// f.Agent to the channel's own strings, which records and spans share.
 	if dstComp.Quarantined() {
 		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstCtx,
 			f.Agent, "", "ingress denied: destination quarantined")
@@ -1249,7 +1371,7 @@ func (l *link) deliverIngress(f LinkFrame) {
 			f.Agent, "", "ingress denied by IFC: "+err.Error())
 		return
 	}
-	m, err := msg.DecodeBinary(f.Payload)
+	m, err := dstEP.Schema.DecodeBinary(f.Payload)
 	if err != nil {
 		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstCtx,
 			f.Agent, "", "ingress denied: undecodable payload")
@@ -1271,7 +1393,7 @@ func (l *link) deliverIngress(f LinkFrame) {
 			f.Agent, m.DataID, "ingress denied: type tags exceed clearance")
 		return
 	}
-	out, quenched := dstEP.Schema.Quench(m, clearance)
+	quenched := dstEP.Schema.QuenchInPlace(m, clearance)
 
 	if !tc.IsZero() {
 		telemetry.RecordSpan(tc, b.name, "ingress", f.Src, string(dstComp.entity.ID()), "")
@@ -1287,7 +1409,7 @@ func (l *link) deliverIngress(f LinkFrame) {
 			telemetry.RecordSpan(tc, b.name, "deliver", f.Src, string(dstComp.entity.ID()), "")
 		}
 		dstComp.delivered.Add(1)
-		out.Stage.MarkDeliver()
-		dstComp.handler(out, Delivery{From: f.Src, Endpoint: dstEP.Name, Quenched: quenched})
+		m.Stage.MarkDeliver()
+		dstComp.handler(m, Delivery{From: f.Src, Endpoint: dstEP.Name, Quenched: quenched})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"lciot/internal/ifc"
 	"lciot/internal/msg"
@@ -31,8 +32,8 @@ import (
 // enforce residency before data leaves a region.
 //
 // Labels travel as their canonical String form (a pointer read on interned
-// labels) and are re-interned by ifc.ParseLabel on decode — the same idiom
-// as audit's binary record codec.
+// labels) and are resolved on decode by a lookup in the label intern table,
+// re-parsed only when this process has never seen them.
 //
 // The fixed 25-byte trailer carries the flow-tracing context (16-byte trace
 // ID plus a hop count; all zero when the flow is unsampled) and the
@@ -106,8 +107,11 @@ type LinkFrame struct {
 	SrcJurisdiction ifc.Label
 	SrcPurpose      ifc.Label
 
-	Schema  string
-	Payload []byte // msg.AppendBinary
+	Schema string
+	// Payload is the message in msg.AppendBinary form. A decoded frame's
+	// Payload aliases the received batch: it is valid only while the batch
+	// is, and is never written.
+	Payload []byte
 
 	OK  bool
 	Err string
@@ -236,10 +240,23 @@ func appendMessageFrame(dst []byte, f *LinkFrame, m *msg.Message) ([]byte, error
 	return appendTrailer(dst, m.Trace, f.EgressNs), nil
 }
 
-// wireDecoder is a bounds-checked cursor over one received batch.
+// wireDecoder is a bounds-checked cursor over one received batch. Every
+// field is read as a slice of the batch; what the frame keeps is resolved
+// without copying where this side already owns an equal value:
+//
+//   - labels through ifc.ParseLabelBytes, a lookup in the label intern
+//     table (ParseLabel runs only for a label this process never saw);
+//   - the payload is not copied at all: LinkFrame.Payload aliases the
+//     batch, and msg.DecodeBinary copies out whatever a message keeps;
+//   - the strings of a message frame on a channel in the ingress table
+//     come from that channel's entry. The table grows only through
+//     acceptIngress, never from message bytes; any other frame, and a
+//     message for an unestablished channel (the denial path), gets
+//     strings copied out of the batch.
 type wireDecoder struct {
 	buf []byte
 	off int
+	in  ingressTable // nil: copy every string out
 }
 
 func (d *wireDecoder) need(n int) error {
@@ -258,15 +275,6 @@ func (d *wireDecoder) byte() (byte, error) {
 	return b, nil
 }
 
-func (d *wireDecoder) uint16() (uint16, error) {
-	if err := d.need(2); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
 func (d *wireDecoder) uint64() (uint64, error) {
 	if err := d.need(8); err != nil {
 		return 0, err
@@ -276,116 +284,132 @@ func (d *wireDecoder) uint64() (uint64, error) {
 	return v, nil
 }
 
-func (d *wireDecoder) string16() (string, error) {
-	n, err := d.uint16()
-	if err != nil {
-		return "", err
+// bytes16 returns the next str16 field as a slice of the batch.
+func (d *wireDecoder) bytes16() ([]byte, error) {
+	if err := d.need(2); err != nil {
+		return nil, err
 	}
-	if err := d.need(int(n)); err != nil {
-		return "", err
+	n := int(binary.BigEndian.Uint16(d.buf[d.off:]))
+	d.off += 2
+	if err := d.need(n); err != nil {
+		return nil, err
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b, nil
 }
 
-// decodeFrame parses one frame at the cursor.
-func (d *wireDecoder) decodeFrame() (LinkFrame, error) {
-	var f LinkFrame
+// label reads one canonical-form label field.
+func (d *wireDecoder) label(what string) (ifc.Label, error) {
+	b, err := d.bytes16()
+	if err != nil {
+		return ifc.EmptyLabel, err
+	}
+	l, err := ifc.ParseLabelBytes(b)
+	if err != nil {
+		return l, fmt.Errorf("%w: %s: %v", ErrWire, what, err)
+	}
+	return l, nil
+}
+
+// owned returns have when b spells it, and a copy of b otherwise.
+func owned(b []byte, have string) string {
+	if string(b) == have {
+		return have
+	}
+	return string(b)
+}
+
+// decodeFrame parses one frame at the cursor into f.
+func (d *wireDecoder) decodeFrame(f *LinkFrame) error {
 	k, err := d.byte()
 	if err != nil {
-		return f, err
+		return err
 	}
 	if f.Kind, err = kindString(k); err != nil {
-		return f, err
+		return err
 	}
 	if f.ID, err = d.uint64(); err != nil {
-		return f, err
+		return err
 	}
 	flags, err := d.byte()
 	if err != nil {
-		return f, err
+		return err
 	}
 	f.OK = flags&flagOK != 0
-	if f.Bus, err = d.string16(); err != nil {
-		return f, err
+	var bus, src, dst []byte
+	for _, p := range [...]*[]byte{&bus, &src, &dst} {
+		if *p, err = d.bytes16(); err != nil {
+			return err
+		}
 	}
-	if f.Src, err = d.string16(); err != nil {
-		return f, err
+	if f.SrcSecrecy, err = d.label("src secrecy"); err != nil {
+		return err
 	}
-	if f.Dst, err = d.string16(); err != nil {
-		return f, err
+	if f.SrcIntegrity, err = d.label("src integrity"); err != nil {
+		return err
 	}
-	srcS, err := d.string16()
-	if err != nil {
-		return f, err
+	if f.SrcJurisdiction, err = d.label("src jurisdiction"); err != nil {
+		return err
 	}
-	if f.SrcSecrecy, err = ifc.ParseLabel(srcS); err != nil {
-		return f, fmt.Errorf("%w: src secrecy: %v", ErrWire, err)
+	if f.SrcPurpose, err = d.label("src purpose"); err != nil {
+		return err
 	}
-	srcI, err := d.string16()
-	if err != nil {
-		return f, err
+	var schema, agent, errText []byte
+	for _, p := range [...]*[]byte{&schema, &agent, &errText} {
+		if *p, err = d.bytes16(); err != nil {
+			return err
+		}
 	}
-	if f.SrcIntegrity, err = ifc.ParseLabel(srcI); err != nil {
-		return f, fmt.Errorf("%w: src integrity: %v", ErrWire, err)
+	var ch *ingressChan
+	if k == kindMessage {
+		ch = d.in.lookup(src, dst)
 	}
-	srcJ, err := d.string16()
-	if err != nil {
-		return f, err
+	if ch != nil {
+		f.Src, f.Dst = ch.src, ch.dst
+		f.Schema = owned(schema, ch.schema)
+		f.Agent = ifc.PrincipalID(owned(agent, string(ch.agent)))
+	} else {
+		f.Src, f.Dst = string(src), string(dst)
+		f.Schema, f.Agent = string(schema), ifc.PrincipalID(agent)
 	}
-	if f.SrcJurisdiction, err = ifc.ParseLabel(srcJ); err != nil {
-		return f, fmt.Errorf("%w: src jurisdiction: %v", ErrWire, err)
-	}
-	srcP, err := d.string16()
-	if err != nil {
-		return f, err
-	}
-	if f.SrcPurpose, err = ifc.ParseLabel(srcP); err != nil {
-		return f, fmt.Errorf("%w: src purpose: %v", ErrWire, err)
-	}
-	if f.Schema, err = d.string16(); err != nil {
-		return f, err
-	}
-	agent, err := d.string16()
-	if err != nil {
-		return f, err
-	}
-	f.Agent = ifc.PrincipalID(agent)
-	if f.Err, err = d.string16(); err != nil {
-		return f, err
-	}
+	f.Bus, f.Err = string(bus), string(errText)
 	if err := d.need(4); err != nil {
-		return f, err
+		return err
 	}
-	n := binary.BigEndian.Uint32(d.buf[d.off:])
+	n := int(binary.BigEndian.Uint32(d.buf[d.off:]))
 	d.off += 4
-	if err := d.need(int(n)); err != nil {
-		return f, err
+	if err := d.need(n); err != nil {
+		return err
 	}
+	f.Payload = nil
 	if n > 0 {
-		// The payload escapes the read buffer (handlers may retain the
-		// decoded message's bytes), so copy it out.
-		f.Payload = make([]byte, n)
-		copy(f.Payload, d.buf[d.off:])
+		f.Payload = d.buf[d.off : d.off+n : d.off+n]
 	}
-	d.off += int(n)
+	d.off += n
 	if err := d.need(traceTrailerLen + egressTrailerLen); err != nil {
-		return f, err
+		return err
 	}
 	f.Trace.ID.Hi = binary.BigEndian.Uint64(d.buf[d.off:])
 	f.Trace.ID.Lo = binary.BigEndian.Uint64(d.buf[d.off+8:])
 	f.Trace.Hop = d.buf[d.off+16]
 	f.EgressNs = binary.BigEndian.Uint64(d.buf[d.off+traceTrailerLen:])
 	d.off += traceTrailerLen + egressTrailerLen
-	return f, nil
+	return nil
 }
 
 // DecodeBatch parses one received transport frame into its link frames.
 // A batch of another protocol version — including a legacy JSON peer — is
 // reported as ErrProtocol with an actionable message; anything else
-// malformed is ErrWire.
+// malformed is ErrWire. Each frame's Payload aliases data; every other
+// field is owned by the frame.
 func DecodeBatch(data []byte) ([]LinkFrame, error) {
+	return decodeBatch(data, nil, nil)
+}
+
+// decodeBatch is DecodeBatch reusing frames' backing array and resolving
+// message strings through the ingress table in (nil for none).
+func decodeBatch(data []byte, frames []LinkFrame, in ingressTable) ([]LinkFrame, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty frame", ErrWire)
 	}
@@ -409,14 +433,12 @@ func DecodeBatch(data []byte) ([]LinkFrame, error) {
 	if count > (len(data)-batchHeaderLen)/minFrameLen {
 		return nil, fmt.Errorf("%w: %d frames declared in a %d-byte batch", ErrWire, count, len(data))
 	}
-	d := &wireDecoder{buf: data, off: batchHeaderLen}
-	frames := make([]LinkFrame, 0, count)
-	for i := 0; i < count; i++ {
-		f, err := d.decodeFrame()
-		if err != nil {
+	d := wireDecoder{buf: data, off: batchHeaderLen, in: in}
+	frames = slices.Grow(frames[:0], count)[:count]
+	for i := range frames {
+		if err := d.decodeFrame(&frames[i]); err != nil {
 			return nil, err
 		}
-		frames = append(frames, f)
 	}
 	if d.off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(data)-d.off)

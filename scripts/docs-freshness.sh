@@ -12,7 +12,8 @@ cd "$(dirname "$0")/.."
 
 DOCS="README.md DESIGN.md ROADMAP.md
 internal/audit/doc.go internal/cep/doc.go internal/core/doc.go
-internal/policy/doc.go internal/sbus/doc.go internal/store/doc.go"
+internal/policy/doc.go internal/sbus/doc.go internal/store/doc.go
+internal/sbus/wire.go"
 
 fail=0
 check() {
@@ -45,6 +46,8 @@ check 'serves four surfaces' \
     'the operator surface has five endpoints: /metrics, /healthz, /traces, /lanes, pprof'
 check 'no call that stops a link|outlive Domain.Close' \
     'Bus.Close shuts down every link and joins its writer and supervisor loops'
+check 'escapes the read buffer|so copy it out|re-intern(ed)? (by|via) .?ifc\.ParseLabel' \
+    'LinkFrame.Payload aliases the received batch; labels resolve through the intern table'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
