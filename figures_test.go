@@ -1,9 +1,15 @@
-package main
+// The E-series: each of E1–E11 reproduces one figure of the paper as a
+// scenario with an observable outcome (see DESIGN.md, "Experiments").
+// TestFigures runs them all:
+//
+//	go test -run TestFigures -v .
+package lciot_test
 
 import (
 	"errors"
 	"fmt"
 	"strings"
+	"testing"
 	"time"
 
 	"lciot/internal/ac"
@@ -455,4 +461,18 @@ func runE11() (string, error) {
 	}
 	return fmt.Sprintf("F4's ancestry reaches %d nodes incl. sources F1,F2; responsible agents: %s",
 		len(anc), strings.Join(agents, ",")), nil
+}
+
+// TestFigures runs every figure reproduction as a subtest named by its
+// experiment ID and logs what it observed.
+func TestFigures(t *testing.T) {
+	for _, exp := range experiments {
+		t.Run(exp.id, func(t *testing.T) {
+			obs, err := exp.run()
+			if err != nil {
+				t.Fatalf("%s: %v", exp.title, err)
+			}
+			t.Logf("%s: %s", exp.title, obs)
+		})
+	}
 }

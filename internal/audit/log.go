@@ -92,8 +92,14 @@ type Log struct {
 	draining atomic.Bool
 	// batch is the hasher's merge buffer, kept here because the hasher
 	// exits whenever the lanes empty; only the goroutine holding draining
-	// touches it.
-	batch []staged
+	// touches it; so does batchKeep, which decides when an oversized one
+	// is dropped.
+	batch     []staged
+	batchKeep bufKeep
+	// trimIdle asks the hasher to drop oversized staging buffers at its next
+	// pass that finds them empty, bursty cycle or not: Flush sets it, since a
+	// caller waiting for the chain to settle marks the end of a burst.
+	trimIdle atomic.Bool
 	// flushMu guards completed; Flush waits on the watermark — completed
 	// catching up with tickets-issued-as-of-the-call — not on full
 	// quiescence, so it stays bounded under sustained ingest.
@@ -121,6 +127,7 @@ type stageLane struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	buf     []staged
+	keep    bufKeep
 	records uint64
 	bytes   uint64
 }
@@ -140,10 +147,44 @@ const maxPending = 4096
 
 // maxKeptBuf bounds the capacity of an idle staging buffer (lane or
 // hasher batch). Buffers are cleared and reused after every drain, so a
-// busy lane does not regrow from empty each time; but a buffer a burst
-// grew past maxKeptBuf is dropped the first time the hasher finds it
-// empty, so one burst cannot pin lanes x maxPending records for good.
+// busy lane does not regrow from empty each time. A buffer a burst grew
+// past maxKeptBuf is dropped once calmCycles drain cycles in a row (a cycle
+// ends at a pass that finds the buffer empty) needed no more than
+// maxKeptBuf, or once a Flush has asked for it. So one burst cannot pin
+// lanes x maxPending records for good, while a hasher that lags again and
+// again keeps its buffers instead of regrowing them from nil after every
+// catch-up.
 const maxKeptBuf = 1024
+
+// calmCycles is how many calm drain cycles an oversized staging buffer
+// survives; see maxKeptBuf.
+const calmCycles = 8
+
+// bufKeep decides when an oversized staging buffer is dropped (see
+// maxKeptBuf). Its owner's lock, or the draining flag, guards it.
+type bufKeep struct {
+	peak int // most records held at one pass in the current cycle
+	calm int // cycles in a row whose peak fit in maxKeptBuf
+}
+
+// note records that a pass found n records in the buffer.
+func (k *bufKeep) note(n int) { k.peak = max(k.peak, n) }
+
+// endCycle closes a cycle at a pass that found the buffer empty and
+// reports whether a buffer of capacity c should be dropped.
+func (k *bufKeep) endCycle(c int, trim bool) bool {
+	if k.peak <= maxKeptBuf {
+		k.calm++
+	} else {
+		k.calm = 0
+	}
+	k.peak = 0
+	if c <= maxKeptBuf || !(trim || k.calm >= calmCycles) {
+		return false
+	}
+	k.calm = 0
+	return true
+}
 
 // NewLog builds an empty log. A nil clock means time.Now.
 func NewLog(clock func() time.Time) *Log {
@@ -320,6 +361,9 @@ func (l *Log) IngestDepth() int {
 // Records staged after the call are not waited for, so Flush is bounded
 // even while other goroutines keep appending.
 func (l *Log) Flush() {
+	if !l.trimIdle.Load() {
+		l.trimIdle.Store(true)
+	}
 	target := l.tickets.Load()
 	l.flushMu.Lock()
 	for l.completed < target {
@@ -341,7 +385,8 @@ func (l *Log) flushCondLocked() *sync.Cond {
 // wakes producers blocked on lane backpressure, and returns the batch
 // merged into arrival-ticket order — the order the chain will record.
 // Each lane keeps its buffer, cleared so it holds no copy of a record,
-// unless the lane was already empty and the buffer is oversized.
+// unless the lane was already empty and its buffer is oversized for the
+// whole cycle just ended (see maxKeptBuf).
 //
 // Only records ticketed before the pass starts are taken. Each of them
 // was staged under its lane's lock in the same critical section that
@@ -351,7 +396,7 @@ func (l *Log) flushCondLocked() *sync.Cond {
 // its records over several lanes still sees them committed in its
 // program order, and the Flush watermark never counts a later record in
 // place of an earlier one still staged.
-func (l *Log) collectStaged() []staged {
+func (l *Log) collectStaged(trim bool) []staged {
 	lanes := *l.getLanes()
 	upto := l.tickets.Load()
 	batch := l.batch[:0]
@@ -364,13 +409,16 @@ func (l *Log) collectStaged() []staged {
 		}
 		switch {
 		case k > 0:
+			ln.keep.note(len(ln.buf))
 			batch = append(batch, ln.buf[:k]...)
 			rest := copy(ln.buf, ln.buf[k:])
 			clear(ln.buf[rest:])
 			ln.buf = ln.buf[:rest]
 			ln.condLocked().Broadcast() // release writers blocked on backpressure
-		case len(ln.buf) == 0 && cap(ln.buf) > maxKeptBuf:
-			ln.buf = nil // the burst that grew it is over
+		case len(ln.buf) == 0:
+			if ln.keep.endCycle(cap(ln.buf), trim) {
+				ln.buf = nil // the burst that grew it is over
+			}
 		}
 		ln.mu.Unlock()
 	}
@@ -402,10 +450,14 @@ func (l *Log) anyStaged() bool {
 // here — staging is sharded, sequencing is not.
 func (l *Log) drain() {
 	for {
-		batch := l.collectStaged()
+		trim := l.trimIdle.Load()
+		batch := l.collectStaged(trim)
 		if len(batch) == 0 {
-			if cap(batch) > maxKeptBuf {
+			if l.batchKeep.endCycle(cap(batch), trim) {
 				l.batch = nil
+			}
+			if trim {
+				l.trimIdle.Store(false)
 			}
 			l.draining.Store(false)
 			// A producer may have staged between the collect and the flag
@@ -415,6 +467,7 @@ func (l *Log) drain() {
 			}
 			continue
 		}
+		l.batchKeep.note(len(batch))
 
 		if act := fpSinkStall.Check(); act != nil {
 			act.Wait()

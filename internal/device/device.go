@@ -1,7 +1,7 @@
 // Package device simulates the physical end of the IoT (Section 2):
 // sensors producing data streams and actuators accepting commands with
 // real-world effect (Concern 2). Generators are deterministic (seeded), so
-// every benchharness experiment (see DESIGN.md) reproduces exactly.
+// every figure reproduction (TestFigures; see DESIGN.md) reproduces exactly.
 //
 // Substitution note (see DESIGN.md): replaces real sensor hardware. The
 // scenarios only need workload *shape* — steady vitals with occasional

@@ -161,6 +161,32 @@ func TestCheckFlowAllowedAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCheckFlowResidencyDenyCachedAllocatesNothing: a flow that carries
+// secrecy tags and residency/purpose facets, denied because the sink's
+// jurisdiction is outside the source's, is decided by the same cached flow
+// rule as a plain check, and a repeated (cached) denial allocates nothing.
+func TestCheckFlowResidencyDenyCachedAllocatesNothing(t *testing.T) {
+	tags := make([]Tag, 10)
+	for i := range tags {
+		tags[i] = Tag("t" + string(rune('0'+i)))
+	}
+	src := SecurityContext{Secrecy: MustLabel(tags...)}.
+		WithJurisdiction(MustLabel("eu", "uk")).WithPurpose(MustLabel("research", "treatment"))
+	dst := SecurityContext{Secrecy: MustLabel(tags...).With("x")}.
+		WithJurisdiction(MustLabel("us")).WithPurpose(MustLabel("research"))
+	if d := CheckFlow(src, dst); d.Allowed {
+		t.Fatal("flow to a jurisdiction outside the source's should be denied")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if d := CheckFlow(src, dst); d.Allowed {
+			t.Fatal("flow should be denied")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CheckFlow allocated %.1f times per cached residency denial, want 0", allocs)
+	}
+}
+
 // Property: the flow relation is a preorder (reflexive and transitive).
 // Confinement depends on transitivity: if A cannot reach C directly, it must
 // not be able to reach it through B either.

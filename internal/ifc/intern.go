@@ -32,10 +32,6 @@ type labelRec struct {
 	ids  []uint32 // ids[i] is the intern ID of tags[i]
 	key  uint64   // unique per distinct label; 0 is reserved for the empty label
 	str  string   // canonical form "{a,b,c}", also the intern-table key
-	// valid reports whether every tag passes Tag.Validate. Labels built
-	// through With/Without skip validation, so a parse may return a record
-	// from the table only when it is valid.
-	valid bool
 }
 
 var interned = struct {
@@ -72,8 +68,10 @@ func canonicalString(tags []Tag) string {
 // internLabel returns the shared record for the given sorted, deduplicated
 // tag set, creating it on first sight. ids, when non-nil, must be aligned
 // with tags (callers that merged two interned labels already know them);
-// nil means "look them up". The caller must not retain or mutate tags after
-// the call: on first sight the slice is adopted into the shared record.
+// nil means "look them up". Every tag must be valid: the canonical form is
+// the table key, so an interned tag holding a delimiter would own the key of
+// a different tag set. The caller must not retain or mutate tags after the
+// call: on first sight the slice is adopted into the shared record.
 func internLabel(tags []Tag, ids []uint32) *labelRec {
 	if len(tags) == 0 {
 		return nil
@@ -97,26 +95,17 @@ func internLabel(tags []Tag, ids []uint32) *labelRec {
 		}
 	}
 	interned.nextLabel++
-	rec = &labelRec{tags: tags, ids: ids, key: interned.nextLabel, str: str, valid: true}
-	for _, t := range tags {
-		if !t.Valid() {
-			rec.valid = false
-			break
-		}
-	}
+	rec = &labelRec{tags: tags, ids: ids, key: interned.nextLabel, str: str}
 	interned.labels[str] = rec
 	return rec
 }
 
-// lookupCanonical returns the interned, valid label whose canonical form is
+// lookupCanonical returns the interned label whose canonical form is
 // exactly s, or nil. A hit costs no allocation.
 func lookupCanonical(s string) *labelRec {
 	interned.mu.RLock()
 	rec := interned.labels[s]
 	interned.mu.RUnlock()
-	if rec == nil || !rec.valid {
-		return nil
-	}
 	return rec
 }
 
@@ -126,9 +115,6 @@ func lookupCanonicalBytes(b []byte) *labelRec {
 	interned.mu.RLock()
 	rec := interned.labels[string(b)]
 	interned.mu.RUnlock()
-	if rec == nil || !rec.valid {
-		return nil
-	}
 	return rec
 }
 

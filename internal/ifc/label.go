@@ -86,7 +86,8 @@ func ParseLabelBytes(b []byte) (Label, error) {
 	return ParseLabel(string(b))
 }
 
-// newLabelUnchecked sorts and deduplicates without validating tags.
+// newLabelUnchecked sorts and deduplicates without validating tags; callers
+// pass only valid tags, since the result is interned.
 func newLabelUnchecked(tags []Tag) Label {
 	if len(tags) == 0 {
 		return Label{}
@@ -296,20 +297,29 @@ func (l Label) Diff(other Label) Label {
 	return makeLabel(tags, ids)
 }
 
-// With returns a copy of the label with the tags added.
+// With returns a copy of the label with the tags added. Like MustLabel it
+// panics on an invalid tag: every interned label is valid, so no label can
+// own a canonical form that parses to a different tag set.
 func (l Label) With(tags ...Tag) Label {
 	if len(tags) == 0 {
 		return l
 	}
-	return l.Union(newLabelUnchecked(tags))
+	return l.Union(MustLabel(tags...))
 }
 
-// Without returns a copy of the label with the tags removed.
+// Without returns a copy of the label with the tags removed. An invalid tag
+// is in no label, so removing it is a no-op.
 func (l Label) Without(tags ...Tag) Label {
-	if len(tags) == 0 {
+	valid := make([]Tag, 0, len(tags))
+	for _, t := range tags {
+		if t.Valid() {
+			valid = append(valid, t)
+		}
+	}
+	if len(valid) == 0 {
 		return l
 	}
-	return l.Diff(newLabelUnchecked(tags))
+	return l.Diff(newLabelUnchecked(valid))
 }
 
 // String renders the canonical form, e.g. "{ann,medical}", or "∅" for the

@@ -323,13 +323,71 @@ func TestParseLabelRejectsInvalidTags(t *testing.T) {
 			t.Fatalf("ParseLabelBytes(%q) accepted", in)
 		}
 	}
-	// With does not validate, so an invalid tag can reach the intern
-	// table; parsing its canonical form must still reject it.
-	bad := EmptyLabel.With("has space")
-	if _, err := ParseLabel(bad.String()); err == nil {
-		t.Fatalf("ParseLabel(%q) accepted an interned invalid label", bad.String())
+}
+
+// TestInvalidTagNeverOwnsACanonicalKey: the intern table is keyed by the
+// canonical string, so a one-tag label "a,b" would own the key "{a,b}" of
+// the two-tag label. With and OwnerPrivileges reject such tags, Without
+// ignores them, and MustLabel("a", "b") keeps both tags whatever ran first.
+func TestInvalidTagNeverOwnsACanonicalKey(t *testing.T) {
+	for _, bad := range []Tag{"a,b", "has space", "{a}", ""} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("With(%q) accepted an invalid tag", bad)
+				}
+			}()
+			EmptyLabel.With(bad)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("OwnerPrivileges(%q) accepted an invalid tag", bad)
+				}
+			}()
+			OwnerPrivileges(bad)
+		}()
+		if got := MustLabel("a", "b").Without(bad); !got.Equal(MustLabel("a", "b")) {
+			t.Fatalf("Without(%q) = %v", bad, got)
+		}
 	}
-	if _, err := ParseLabelBytes([]byte(bad.String())); err == nil {
-		t.Fatalf("ParseLabelBytes(%q) accepted an interned invalid label", bad.String())
+	l := MustLabel("a", "b")
+	if l.Len() != 2 || !l.Has("a") || !l.Has("b") {
+		t.Fatalf("MustLabel(a, b) = %v with %d tags", l, l.Len())
 	}
+	if got, err := ParseLabel("{a,b}"); err != nil || !got.Equal(l) {
+		t.Fatalf("ParseLabel({a,b}) = %v, %v", got, err)
+	}
+}
+
+// FuzzParseLabel feeds arbitrary strings to the label parser, which reads
+// labels received from peers and config files. Whatever parses must render
+// a canonical form that parses back to the same label, and that label must
+// be exactly the one NewLabel builds from its tags. The seed corpus
+// (testdata/fuzz/FuzzParseLabel) covers the canonical, empty, spaced,
+// duplicate and delimiter-bearing spellings.
+func FuzzParseLabel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		l, err := ParseLabel(s)
+		lb, errb := ParseLabelBytes([]byte(s))
+		if (err == nil) != (errb == nil) || (err == nil && !l.Equal(lb)) {
+			t.Fatalf("ParseLabel(%q) = %v, %v; ParseLabelBytes = %v, %v", s, l, err, lb, errb)
+		}
+		if err != nil {
+			return
+		}
+		again, err := ParseLabel(l.String())
+		if err != nil || !again.Equal(l) {
+			t.Fatalf("ParseLabel(%q) = %v, %v; want %v", l.String(), again, err, l)
+		}
+		built, err := NewLabel(l.Tags()...)
+		if err != nil || !built.Equal(l) || built.Len() != l.Len() {
+			t.Fatalf("NewLabel(%q) = %v, %v; parsed %v", l.Tags(), built, err, l)
+		}
+		for _, tag := range l.Tags() {
+			if !l.Has(tag) || tag.Validate() != nil {
+				t.Fatalf("parsed label %v holds tag %q (Has %v, Validate %v)", l, tag, l.Has(tag), tag.Validate())
+			}
+		}
+	})
 }

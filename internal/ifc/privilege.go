@@ -131,8 +131,9 @@ func (p Privileges) String() string {
 // OwnerPrivileges returns the full privilege set over the given tags: the
 // right to add and remove each of them on both labels. Tag creation confers
 // ownership (Section 6, "Tag Ownership"), and ownership confers these
-// rights, which the owner may then delegate piecemeal.
+// rights, which the owner may then delegate piecemeal. It panics on an
+// invalid tag, like MustLabel.
 func OwnerPrivileges(tags ...Tag) Privileges {
-	l := newLabelUnchecked(tags)
+	l := MustLabel(tags...)
 	return Privileges{AddSecrecy: l, RemoveSecrecy: l, AddIntegrity: l, RemoveIntegrity: l}
 }

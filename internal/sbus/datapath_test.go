@@ -270,6 +270,41 @@ func TestRetransmitKeepsFrameBuffers(t *testing.T) {
 	}
 }
 
+// TestErasedDataLeavesNoFreeListCopy: a frame buffer the writer hands back
+// after a send is cleared before it joins the link's free list, so no
+// payload or DataID byte of a sent frame stays readable there.
+func TestErasedDataLeavesNoFreeListCopy(t *testing.T) {
+	home, cloud, rec := linkedBuses(t)
+	t.Cleanup(func() { home.Close(); cloud.Close() })
+	if err := home.Connect("hospital", "ann-device.out", "cloud-bus:ann-analyser.in"); err != nil {
+		t.Fatal(err)
+	}
+	dev, _ := home.Component("ann-device")
+	const burst = 32
+	for i := 0; i < burst; i++ {
+		m := vitalsMessage("ann", float64(i))
+		m.DataID = "session/erase-me"
+		if _, err := dev.Publish("out", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return rec.count() == burst }, "deliveries")
+	l := home.linkTo("cloud-bus")
+	waitFor(t, func() bool { return len(l.free) > 0 }, "a recycled frame buffer")
+	for checked := 0; ; checked++ {
+		select {
+		case buf := <-l.free:
+			for i, c := range buf[:cap(buf)] {
+				if c != 0 {
+					t.Fatalf("free-list buffer %d keeps frame bytes from offset %d: %q", checked, i, buf[i:cap(buf)])
+				}
+			}
+		default:
+			return
+		}
+	}
+}
+
 // runningLinkGoroutines returns the stack frames of goroutines inside a
 // handshake or a connect-reply waiter ("created by" lines do not count).
 func runningLinkGoroutines() []string {

@@ -740,10 +740,13 @@ func (l *link) frameBuf() []byte {
 }
 
 // recycle puts a frame buffer nobody references any more on the free list.
+// The used bytes are cleared first: a sent frame's payload and DataID must
+// not stay readable in a buffer the link keeps after an erasure.
 func (l *link) recycle(buf []byte) {
 	if cap(buf) > maxRecycledFrame {
 		return
 	}
+	clear(buf)
 	select {
 	case l.free <- buf[:0]:
 	default:
@@ -836,6 +839,7 @@ func (l *link) writeLoop() {
 		}
 		l.txBytes.Add(uint64(len(buf)))
 		l.batchFrames.Observe(int64(len(batch)))
+		clear(buf) // the batch buffer outlives the batch; keep no frame bytes in it
 		// Only now, with the batch on the wire, are its frame buffers free.
 		for i, f := range batch {
 			l.recycle(f)

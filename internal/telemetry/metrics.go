@@ -19,7 +19,7 @@
 //     recording gate is off.
 //
 // Snapshot() serves programmatic reads (lciotd's status line, tests,
-// benchharness baselines); WritePrometheus (prometheus.go) serves the
+// the e2ebench layer metrics); WritePrometheus (prometheus.go) serves the
 // /metrics endpoint. Both are built from the same registry, so the log
 // line and the scrape can never disagree.
 package telemetry

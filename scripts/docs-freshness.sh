@@ -36,8 +36,12 @@ check 'mutex-guarded pending list' \
     'audit ingest stages per lane; only chain-head assignment serializes'
 check 'serial(ises|izes) every (access|delivery)' \
     'the domain takes no engine-wide lock around CEP or policy dispatch'
-check 'B1.B1[0-6]([^0-9]|$)' \
-    'the benchmark table range is B1–B17 (BENCH_10.json)'
+check '(B1–B1[0-7]|B1-B1[0-7])([^0-9]|$)' \
+    'the microbenchmarks are B1–B8, B11 and B15 (bench_test.go); the other rows moved to e2ebench'
+check 'cmd/benchharness|benchharness -[a-z]' \
+    'the benchmark harness is deleted: B rows live in bench_test.go, E1–E11 in figures_test.go'
+check '(baseline|gates? against|compares? (with|against)) .?BENCH_10' \
+    'benchgate anchors allocs/op on the name-keyed BENCH_16.json onward and gates ns/op on paired base runs'
 check 'histograms in summary form|latency summaries \(p50/p90/p99\)' \
     '/metrics serves native histograms (le buckets) with companion _quantile gauges'
 check '(re)?negotiates?([^a-z]|$)|version negotiation|truncates? (the |their |its )?trailers?|v5↔v4' \
